@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from franklopt import reference
 from franklopt.families import family_from_masks, frequencies, is_union_closed
 from franklopt.models import (
     ModelInstance,
@@ -17,8 +20,31 @@ from franklopt.solver import (
 )
 
 
+GOLDEN_COUNTS = Path(__file__).parent / "golden" / "solver_counts.txt"
+
+
 def inst(kind, n, param):
     return ModelInstance(ModelKind(kind), n, param)
+
+
+def pinned_cells():
+    """Every published n <= 4 cell, plus one n = 5 cell of each kind."""
+    cells = set()
+    for table in reference.REFERENCE_TABLES.values():
+        cells.update(c for c in table if c[1] <= 4)
+    cells.update({("f", 5, 15), ("g", 5, 28), ("ft", 5, 15), ("gt", 5, 7)})
+    return sorted(cells)
+
+
+def search_fingerprint(kind, n, param):
+    """One golden line: what a single-worker solve returns and how much
+    search it took to get there."""
+    out = solve(inst(kind, n, param))
+    masks = " ".join(map(str, out.witness.sets)) if out.witness else "-"
+    return (
+        f"{kind} {n} {param} {out.status.value} {out.value} "
+        f"{out.stats.nodes} {out.stats.propagations} {masks}"
+    )
 
 
 class TestSolveKnownValues:
@@ -77,6 +103,18 @@ class TestSolveKnownValues:
         out = solve(inst("f", 12, 1 << 11))
         assert out.status is Status.OPTIMAL
         assert out.value == 1 << 12
+
+
+class TestSearchPinned:
+    def test_counts_match_golden(self):
+        # node and propagation counts change only when the search explores
+        # a different tree; refresh the file (run this module as a script)
+        # only for a change meant to alter the tree
+        expected = GOLDEN_COUNTS.read_text().splitlines()
+        got = [search_fingerprint(*cell) for cell in pinned_cells()]
+        assert len(got) == len(expected)
+        mismatched = [(g, e) for g, e in zip(got, expected) if g != e]
+        assert not mismatched, mismatched[:5]
 
 
 class TestWitnessSoundness:
@@ -214,3 +252,9 @@ class TestLowerBoundReport:
     def test_trivially_infeasible_immediate(self):
         out = lower_bound_report(inst("g", 4, 17), SearchBudget(max_nodes=100))
         assert out.status is Status.INFEASIBLE
+
+
+if __name__ == "__main__":
+    GOLDEN_COUNTS.write_text(
+        "".join(search_fingerprint(*cell) + "\n" for cell in pinned_cells())
+    )
