@@ -44,7 +44,6 @@ from .solver import (
     Status,
     UNLIMITED,
     exhaustive_oracle,
-    lower_bound_report,
     solve,
 )
 from .verify import (

@@ -18,10 +18,18 @@ the leaves reached are exactly the union-closed families.  Pruning:
     that can still be fully included; a branch dies when some element has
     none left and none completed.
 
+The search is one non-recursive loop over a depth counter, for all four
+kinds: the objective sets the degree cap, the set count a branch must
+still reach, the leaf, the root bound at which the search stops early,
+and the child order (include first when maximizing, exclude first when
+minimizing).
+
 Single-worker runs are fully deterministic, including the witness.  With
-several workers the top of the decision tree is split into subtrees that
-are solved independently and combined; status and optimal value do not
-depend on the worker count, and any budget applies per worker.
+several workers the top of the decision tree is split into subtrees, each
+the same loop with its first decisions forced, solved independently and
+combined; status and optimal value do not depend on the worker count.  A
+budget bounds the whole solve: the subtrees share one deadline and split
+the node budget between them.
 
 ``exhaustive_oracle`` answers the same questions for n <= 4 by filtering
 every subset of the power set through the family-core predicates.  It
@@ -31,7 +39,6 @@ shares none of the search machinery and exists to cross-check ``solve``.
 from __future__ import annotations
 
 import enum
-import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -54,10 +61,6 @@ class SearchBudget:
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
-
-    @property
-    def unlimited(self) -> bool:
-        return self.max_nodes is None and self.max_seconds is None
 
 
 UNLIMITED = SearchBudget()
@@ -87,303 +90,151 @@ class SolveOutcome:
     incumbent_witness: Optional[Family] = None
 
 
-class _Abort(Exception):
-    pass
+_IN, _OUT = 1, 2
 
 
-class _Done(Exception):
-    pass
+def _search(
+    inst: ModelInstance,
+    max_nodes: Optional[int],
+    deadline: Optional[float],
+    prefix: tuple[int, ...] = (),
+) -> SolveOutcome:
+    """One branch-and-bound run; below depth len(prefix) the node at depth
+    d tries only the child prefix[d] (1 = include, 0 = exclude)."""
+    started = time.monotonic()
+    n = inst.n
+    size = 1 << n
+    half = size >> 1
+    param = inst.param
+    maximize = inst.kind.maximize
+    twin = inst.kind.twin
+    order = sorted(range(size), key=lambda s: (-s.bit_count(), -s))
+    # tail[k]: total cardinality of the k cheapest (last) sets
+    tail = [0] * (size + 1)
+    for k in range(1, size + 1):
+        tail[k] = tail[k - 1] + order[size - k].bit_count()
+    elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(size)]
+    state = bytearray(size)
+    deg = [0] * n
+    remaining = [half] * n  # undecided sets containing each element
+    included: list[int] = []
+    best: Optional[int] = None
+    best_masks: Optional[tuple[int, ...]] = None
+    aborted = False
 
+    if twin:
+        # one pair per (element e, set S without e) with S not of size
+        # n-1; pair_elem[pid] = e, and pairs_of_mask lists the pairs whose
+        # two members S and S+e include a given mask
+        pair_elem: list[int] = []
+        pairs_of_mask: list[list[int]] = [[] for _ in range(size)]
+        alive = [0] * n  # pairs of each element with no member out
+        for e in range(n):
+            bit = 1 << e
+            for little in range(size):
+                if little & bit or little.bit_count() == n - 1:
+                    continue
+                pairs_of_mask[little].append(len(pair_elem))
+                pairs_of_mask[little | bit].append(len(pair_elem))
+                pair_elem.append(e)
+                alive[e] += 1
+        sat = [0] * n  # pairs of each element with both members in
+        pair_in = [0] * len(pair_elem)
+        pair_out = [0] * len(pair_elem)
 
-_UNDECIDED, _IN, _OUT = 0, 1, 2
+    # What the objective decides: the degree cap `cap`, the set count
+    # `goal` a branch must still be able to reach, the leaf, and the root
+    # bound `target` whose attainment ends the search.
+    if maximize:
+        cap = param
+        goal = 1  # incumbent + 1, with no incumbent counted as 0
+        target = min(bisect_right(tail, n * min(param, half)) - 1, size)
+    else:
+        cap = half  # incumbent - 1 once there is one
+        goal = param
+        target = next(
+            (v for v in range(half)
+             if v + half >= param and bisect_right(tail, n * v) - 1 >= param),
+            half,
+        )
 
-
-class _Search:
-    """One branch-and-bound run, optionally under a forced decision prefix."""
-
-    def __init__(self, inst: ModelInstance, budget: SearchBudget):
-        self.inst = inst
-        self.budget = budget
-        n = inst.n
-        size = 1 << n
-        self.n = n
-        self.size = size
-        self.maximize = inst.kind.maximize
-        self.twin = inst.kind.twin
-        self.order = sorted(range(size), key=lambda s: (-s.bit_count(), -s))
-        # tail_sizes[k]: total cardinality of the k cheapest (last) sets
-        self.tail_sizes = [0] * (size + 1)
-        for k in range(1, size + 1):
-            self.tail_sizes[k] = self.tail_sizes[k - 1] + self.order[size - k].bit_count()
-        self.elems = [
-            tuple(e for e in range(n) if mask >> e & 1) for mask in range(size)
-        ]
-        self.state = bytearray(size)
-        self.deg = [0] * n
-        self.remaining = [size >> 1] * n  # undecided sets containing each element
-        self.included: list[int] = []
-        self.best_value: Optional[int] = None
-        self.best_masks: Optional[tuple[int, ...]] = None
-        self.stats = SearchStats()
-        self.deadline = None
-        if budget.max_seconds is not None:
-            self.deadline = time.monotonic() + budget.max_seconds
-
-        if self.twin:
-            pairs = []
-            pairs_of_mask: list[list[int]] = [[] for _ in range(size)]
-            alive = [0] * n
-            for e in range(n):
-                bit = 1 << e
-                for little in range(size):
-                    if little & bit or little.bit_count() == n - 1:
-                        continue
-                    pid = len(pairs)
-                    pairs.append(e)
-                    pairs_of_mask[little].append(pid)
-                    pairs_of_mask[little | bit].append(pid)
-                    alive[e] += 1
-            self.pair_elem = pairs
-            self.pairs_of_mask = pairs_of_mask
-            self.alive = alive
-            self.sat = [0] * n
-            self.pair_in = [0] * len(pairs)
-            self.pair_out = [0] * len(pairs)
-
-    # -- decision primitives ------------------------------------------------
-
-    def can_include(self, mask: int, cap: int) -> bool:
-        deg = self.deg
-        for e in self.elems[mask]:
-            if deg[e] + 1 > cap:
-                self.stats.propagations += 1
-                return False
-        state = self.state
-        for t in self.included:
-            v = t | mask
-            if v != t and v != mask and state[v] != _IN:
-                self.stats.propagations += 1
-                return False
-        return True
-
-    def apply_include(self, mask: int) -> None:
-        self.state[mask] = _IN
-        self.included.append(mask)
-        for e in self.elems[mask]:
-            self.deg[e] += 1
-            self.remaining[e] -= 1
-        if self.twin:
-            pair_in, pair_elem, sat = self.pair_in, self.pair_elem, self.sat
-            for pid in self.pairs_of_mask[mask]:
-                pair_in[pid] += 1
-                if pair_in[pid] == 2:
-                    sat[pair_elem[pid]] += 1
-
-    def undo_include(self, mask: int) -> None:
-        if self.twin:
-            pair_in, pair_elem, sat = self.pair_in, self.pair_elem, self.sat
-            for pid in self.pairs_of_mask[mask]:
-                if pair_in[pid] == 2:
-                    sat[pair_elem[pid]] -= 1
-                pair_in[pid] -= 1
-        for e in self.elems[mask]:
-            self.deg[e] -= 1
-            self.remaining[e] += 1
-        self.included.pop()
-        self.state[mask] = _UNDECIDED
-
-    def apply_exclude(self, mask: int) -> bool:
-        """Mark a set out; returns False when some element loses its last
-        completable twin pair (the branch is then dead but must be undone)."""
-        self.state[mask] = _OUT
-        for e in self.elems[mask]:
-            self.remaining[e] -= 1
-        ok = True
-        if self.twin:
-            pair_out, pair_elem, alive, sat = (
-                self.pair_out,
-                self.pair_elem,
-                self.alive,
-                self.sat,
-            )
-            for pid in self.pairs_of_mask[mask]:
-                pair_out[pid] += 1
-                if pair_out[pid] == 1:
-                    e = pair_elem[pid]
-                    alive[e] -= 1
-                    if alive[e] == 0 and sat[e] == 0:
-                        ok = False
-        if not ok:
-            self.stats.propagations += 1
-        return ok
-
-    def undo_exclude(self, mask: int) -> None:
-        if self.twin:
-            pair_out, pair_elem, alive = self.pair_out, self.pair_elem, self.alive
-            for pid in self.pairs_of_mask[mask]:
-                if pair_out[pid] == 1:
-                    alive[pair_elem[pid]] += 1
-                pair_out[pid] -= 1
-        for e in self.elems[mask]:
-            self.remaining[e] += 1
-        self.state[mask] = _UNDECIDED
-
-    # -- bounds ---------------------------------------------------------------
-
-    def addable_bound(self, caps_left: int, suffix_len: int) -> int:
-        """Max number of undecided sets whose total size fits the capacity."""
-        k = bisect_right(self.tail_sizes, caps_left) - 1
-        return k if k < suffix_len else suffix_len
-
-    # -- main search ----------------------------------------------------------
-
-    def run(self, prefix: tuple[int, ...] = ()) -> None:
-        # single-use object: no undo of prefix decisions on the way out
-        if self.twin and any(a == 0 for a in self.alive):
-            return
-        for depth, decision in enumerate(prefix):
-            mask = self.order[depth]
-            if decision:
-                if not self.maximize and len(self.included) >= self.inst.param:
-                    return  # prefix overshoots the exact set count
-                if not self.can_include(mask, self.include_cap()):
-                    return
-                self.apply_include(mask)
-            else:
-                if not self.apply_exclude(mask):
-                    return
-        try:
-            if self.maximize:
-                self.target_ub = len(self.included) + self.addable_bound(
-                    sum(
-                        min(self.inst.param - d, r)
-                        for d, r in zip(self.deg, self.remaining)
-                    ),
-                    self.size - len(prefix),
-                )
-                self._loop_max(len(prefix))
-            else:
-                self.target_lb = self.root_lower_bound(len(prefix))
-                self._loop_min(len(prefix))
-        except _Done:
-            pass
-
-    def include_cap(self) -> int:
-        if self.maximize:
-            return self.inst.param
-        if self.best_value is None:
-            return self.size >> 1
-        return self.best_value - 1
-
-    def root_lower_bound(self, depth: int) -> int:
-        needed = self.inst.param - len(self.included)
-        suffix = self.size - depth
-        for v in range(self.size >> 1):
-            if any(d > v for d in self.deg):
-                continue
-            caps = 0
-            limit = suffix
-            for d, r in zip(self.deg, self.remaining):
-                room = v - d
-                caps += room if room < r else r
-                avoid = room + suffix - r
-                if avoid < limit:
-                    limit = avoid
-            if limit >= needed and self.addable_bound(caps, suffix) >= needed:
-                return v
-        return self.size >> 1
-
-    # The two hot loops below bind every piece of search state to locals
-    # once and recurse over closures: the same tree as the method-based
-    # primitives (which still serve the prefix path), minus the attribute
-    # and call overhead.  In-node check order differs only in which prune
-    # fires first, never in whether a child is explored.
-
-    def _loop_max(self, depth0: int) -> None:
-        n, size = self.n, self.size
-        cap = self.inst.param
-        target_ub = self.target_ub
-        order, elems, tail = self.order, self.elems, self.tail_sizes
-        state, deg, remaining = self.state, self.deg, self.remaining
-        included = self.included
-        twin = self.twin
-        if twin:
-            pairs_of_mask, pair_elem = self.pairs_of_mask, self.pair_elem
-            pair_in, pair_out = self.pair_in, self.pair_out
-            alive, sat = self.alive, self.sat
-        max_nodes = self.budget.max_nodes
-        deadline = self.deadline
-        monotonic = time.monotonic
-        nodes = self.stats.nodes
-        props = 0
-        best = self.best_value
-
-        def dfs(depth: int) -> None:
-            nonlocal nodes, props, best
+    forced = len(prefix)
+    monotonic = time.monotonic
+    nodes = props = 0
+    depth = 0
+    # visit False: the node at `depth` is done, undo the decision above it.
+    # An element without any twin pair leaves nothing to search.
+    visit = not (twin and 0 in alive)
+    while True:
+        if visit:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                raise _Abort
+                aborted = True
+                break
             if deadline is not None and not nodes & 1023 and monotonic() > deadline:
-                raise _Abort
+                aborted = True
+                break
             suffix = size - depth
+            need = goal - len(included)
+            if need > suffix and not maximize:  # before the scan, unlike `k < need`
+                visit = False
+                continue
             caps_left = 0
             limit = suffix
-            reach = -1  # deg[i-1] + remaining[i-1]; symmetry reduction:
-            # explore only families whose final frequencies can still be
-            # non-increasing in the label (a relabeling always exists)
+            # symmetry reduction: explore only families whose final
+            # frequencies can still be non-increasing in the label (a
+            # relabeling always exists); reach = deg[i-1] + remaining[i-1]
+            reach = size
             for i in range(n):
                 d = deg[i]
                 r = remaining[i]
-                if reach >= 0 and reach < d:
-                    props += 1
-                    return
+                if reach < d:
+                    visit = False
+                    break
                 reach = d + r
                 room = cap - d
+                if room < 0:
+                    visit = False
+                    break
                 caps_left += room if room < r else r
                 avoid = room + suffix - r
                 if avoid < limit:
                     limit = avoid
+            if not visit:
+                props += 1
+                continue
+            # capacity bound: the cheapest undecided sets that still fit
             k = bisect_right(tail, caps_left) - 1
             if k > limit:
                 k = limit
             if k > suffix:
                 k = suffix
-            if best is not None and len(included) + k <= best:
-                return
-            if depth == size:
-                if included and (best is None or len(included) > best):
+            if k < need:
+                visit = False
+                continue
+            if suffix == 0 if maximize else need == 0:
+                visit = False
+                if maximize:
                     best = len(included)
-                    self.best_value = best
-                    self.best_masks = tuple(sorted(included))
-                    if best >= target_ub:
-                        raise _Done
-                return
-            mask = order[depth]
-            ok = True
-            for e in elems[mask]:
-                if deg[e] + 1 > cap:
-                    ok = False
-                    props += 1
+                    goal = best + 1
+                else:
+                    if twin and 0 in sat:
+                        continue
+                    best = max(deg)
+                    cap = best - 1
+                best_masks = tuple(sorted(included))
+                if best == target:
                     break
-            if ok:
-                for t in included:
-                    v = t | mask
-                    if v != t and v != mask and state[v] != 1:
-                        ok = False
-                        props += 1
-                        break
-            if ok:
-                state[mask] = 1
-                included.append(mask)
-                for e in elems[mask]:
-                    deg[e] += 1
-                    remaining[e] -= 1
-                if twin:
-                    for pid in pairs_of_mask[mask]:
-                        pair_in[pid] += 1
-                        if pair_in[pid] == 2:
-                            sat[pair_elem[pid]] += 1
-                dfs(depth + 1)
+                continue
+            mask = order[depth]
+            include = prefix[depth] if depth < forced else maximize
+            second = depth >= forced  # an untried child remains
+        else:
+            if depth == 0:
+                break
+            depth -= 1
+            mask = order[depth]
+            if state[mask] == _IN:
                 if twin:
                     for pid in pairs_of_mask[mask]:
                         if pair_in[pid] == 2:
@@ -393,240 +244,86 @@ class _Search:
                     deg[e] -= 1
                     remaining[e] += 1
                 included.pop()
-                state[mask] = 0
-            state[mask] = 2
-            for e in elems[mask]:
-                remaining[e] -= 1
-            dead = False
-            if twin:
-                for pid in pairs_of_mask[mask]:
-                    pair_out[pid] += 1
-                    if pair_out[pid] == 1:
-                        e = pair_elem[pid]
-                        alive[e] -= 1
-                        if alive[e] == 0 and sat[e] == 0:
-                            dead = True
-            if dead:
-                props += 1
+                include = False
             else:
-                dfs(depth + 1)
-            if twin:
-                for pid in pairs_of_mask[mask]:
-                    if pair_out[pid] == 1:
-                        alive[pair_elem[pid]] += 1
-                    pair_out[pid] -= 1
-            for e in elems[mask]:
-                remaining[e] += 1
+                if twin:
+                    for pid in pairs_of_mask[mask]:
+                        if pair_out[pid] == 1:
+                            alive[pair_elem[pid]] += 1
+                        pair_out[pid] -= 1
+                for e in elems[mask]:
+                    remaining[e] += 1
+                include = True
             state[mask] = 0
-
-        try:
-            dfs(depth0)
-        finally:
-            self.stats.nodes = nodes
-            self.stats.propagations += props
-
-    def _loop_min(self, depth0: int) -> None:
-        n, size = self.n, self.size
-        m_target = self.inst.param
-        half = size >> 1
-        target_lb = self.target_lb
-        order, elems, tail = self.order, self.elems, self.tail_sizes
-        state, deg, remaining = self.state, self.deg, self.remaining
-        included = self.included
-        twin = self.twin
+            if include == maximize or depth < forced:
+                continue  # both children tried, or the only one
+            second = False
+        if include:
+            ok = True
+            for e in elems[mask]:
+                if deg[e] >= cap:
+                    ok = False
+                    break
+            else:
+                # decision order makes every union of two included sets
+                # already decided, so closure is checked against `included`
+                for t in included:
+                    v = t | mask
+                    if v != t and v != mask and state[v] != _IN:
+                        ok = False
+                        break
+            if ok:
+                state[mask] = _IN
+                included.append(mask)
+                for e in elems[mask]:
+                    deg[e] += 1
+                    remaining[e] -= 1
+                if twin:
+                    for pid in pairs_of_mask[mask]:
+                        pair_in[pid] += 1
+                        if pair_in[pid] == 2:
+                            sat[pair_elem[pid]] += 1
+                depth += 1
+                visit = True
+                continue
+            props += 1
+            if not second:
+                visit = False
+                continue
+        state[mask] = _OUT
+        for e in elems[mask]:
+            remaining[e] -= 1
+        depth += 1
+        visit = True
         if twin:
-            pairs_of_mask, pair_elem = self.pairs_of_mask, self.pair_elem
-            pair_in, pair_out = self.pair_in, self.pair_out
-            alive, sat = self.alive, self.sat
-        max_nodes = self.budget.max_nodes
-        deadline = self.deadline
-        monotonic = time.monotonic
-        nodes = self.stats.nodes
-        props = 0
-        best = self.best_value
-
-        def dfs(depth: int) -> None:
-            nonlocal nodes, props, best
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise _Abort
-            if deadline is not None and not nodes & 1023 and monotonic() > deadline:
-                raise _Abort
-            suffix = size - depth
-            needed = m_target - len(included)
-            if needed > suffix or needed < 0:
-                return
-            horizon = half if best is None else best - 1
-            caps_left = 0
-            limit = suffix
-            cur_max = 0
-            reach = -1  # symmetry reduction, as in the maximize loop
-            for i in range(n):
-                d = deg[i]
-                r = remaining[i]
-                if reach >= 0 and reach < d:
-                    props += 1
-                    return
-                reach = d + r
-                if d > cur_max:
-                    cur_max = d
-                room = horizon - d
-                if room < 0:
-                    props += 1
-                    return
-                caps_left += room if room < r else r
-                avoid = room + suffix - r
-                if avoid < limit:
-                    limit = avoid
-            if needed == 0:
-                if twin:
-                    for s in sat:
-                        if s < 1:
-                            return
-                best = cur_max
-                self.best_value = best
-                self.best_masks = tuple(sorted(included))
-                if best <= target_lb:
-                    raise _Done
-                return
-            if limit < needed:
-                return
-            if bisect_right(tail, caps_left) - 1 < needed:
-                return
-            mask = order[depth]
-            state[mask] = 2
-            for e in elems[mask]:
-                remaining[e] -= 1
-            dead = False
-            if twin:
-                for pid in pairs_of_mask[mask]:
-                    pair_out[pid] += 1
-                    if pair_out[pid] == 1:
-                        e = pair_elem[pid]
-                        alive[e] -= 1
-                        if alive[e] == 0 and sat[e] == 0:
-                            dead = True
-            if dead:
+            for pid in pairs_of_mask[mask]:
+                pair_out[pid] += 1
+                if pair_out[pid] == 1:
+                    e = pair_elem[pid]
+                    alive[e] -= 1
+                    if alive[e] == 0 and sat[e] == 0:
+                        visit = False  # e lost its last completable twin pair
+            if not visit:
                 props += 1
-            else:
-                dfs(depth + 1)
-            if twin:
-                for pid in pairs_of_mask[mask]:
-                    if pair_out[pid] == 1:
-                        alive[pair_elem[pid]] += 1
-                    pair_out[pid] -= 1
-            for e in elems[mask]:
-                remaining[e] += 1
-            state[mask] = 0
-            cap_now = half if best is None else best - 1
-            ok = True
-            for e in elems[mask]:
-                if deg[e] + 1 > cap_now:
-                    ok = False
-                    props += 1
-                    break
-            if ok:
-                for t in included:
-                    v = t | mask
-                    if v != t and v != mask and state[v] != 1:
-                        ok = False
-                        props += 1
-                        break
-            if ok:
-                state[mask] = 1
-                included.append(mask)
-                for e in elems[mask]:
-                    deg[e] += 1
-                    remaining[e] -= 1
-                if twin:
-                    for pid in pairs_of_mask[mask]:
-                        pair_in[pid] += 1
-                        if pair_in[pid] == 2:
-                            sat[pair_elem[pid]] += 1
-                dfs(depth + 1)
-                if twin:
-                    for pid in pairs_of_mask[mask]:
-                        if pair_in[pid] == 2:
-                            sat[pair_elem[pid]] -= 1
-                        pair_in[pid] -= 1
-                for e in elems[mask]:
-                    deg[e] -= 1
-                    remaining[e] += 1
-                included.pop()
-                state[mask] = 0
 
-        try:
-            dfs(depth0)
-        finally:
-            self.stats.nodes = nodes
-            self.stats.propagations += props
-
-    def outcome(self, aborted: bool, started: float) -> SolveOutcome:
-        self.stats.seconds = time.monotonic() - started
-        witness = None
-        if self.best_masks is not None:
-            witness = Family(self.n, self.best_masks)
-            if not self.maximize:
-                witness = sort_by_frequency(witness)
-        if aborted:
-            return SolveOutcome(
-                Status.ABORTED,
-                stats=self.stats,
-                incumbent_value=self.best_value,
-                incumbent_witness=witness,
-            )
-        if witness is None:
-            return SolveOutcome(Status.INFEASIBLE, stats=self.stats)
-        return SolveOutcome(Status.OPTIMAL, self.best_value, witness, self.stats)
-
-
-def _solve_single(
-    inst: ModelInstance, budget: SearchBudget, prefix: tuple[int, ...] = ()
-) -> SolveOutcome:
-    depth_needed = (1 << inst.n) + 64
-    if sys.getrecursionlimit() < depth_needed:
-        sys.setrecursionlimit(depth_needed)
-    search = _Search(inst, budget)
-    started = time.monotonic()
-
-    def execute() -> bool:
-        try:
-            search.run(prefix)
-            return False
-        except _Abort:
-            return True
-
-    if depth_needed <= 4096:
-        aborted = execute()
-    else:
-        # recursion can reach 2^n frames; give wide ground sets a thread
-        # with an explicit stack instead of risking the process stack
-        import threading
-
-        box: dict = {}
-
-        def target():
-            try:
-                box["aborted"] = execute()
-            except BaseException as exc:  # surfaced in the caller below
-                box["error"] = exc
-
-        old_stack = threading.stack_size(max(64 << 20, depth_needed * 4096))
-        try:
-            worker = threading.Thread(target=target)
-            worker.start()
-            worker.join()
-        finally:
-            threading.stack_size(old_stack)
-        if "error" in box:
-            raise box["error"]
-        aborted = box["aborted"]
-    return search.outcome(aborted, started)
+    stats = SearchStats(nodes, props, time.monotonic() - started)
+    witness = None
+    if best_masks is not None:
+        witness = Family(n, best_masks)
+        if not maximize:
+            witness = sort_by_frequency(witness)
+    if aborted:
+        return SolveOutcome(
+            Status.ABORTED, stats=stats, incumbent_value=best, incumbent_witness=witness
+        )
+    if witness is None:
+        return SolveOutcome(Status.INFEASIBLE, stats=stats)
+    return SolveOutcome(Status.OPTIMAL, best, witness, stats)
 
 
 def _subtree_worker(args) -> tuple[int, SolveOutcome]:
-    index, inst, budget, prefix = args
-    return index, _solve_single(inst, budget, prefix)
+    index, inst, max_nodes, deadline, prefix = args
+    return index, _search(inst, max_nodes, deadline, prefix)
 
 
 def _solve_parallel(inst: ModelInstance, budget: SearchBudget, workers: int) -> SolveOutcome:
@@ -639,7 +336,16 @@ def _solve_parallel(inst: ModelInstance, budget: SearchBudget, workers: int) -> 
         tuple(bits >> i & 1 for i in range(split_depth))
         for bits in range(1 << split_depth)
     ]
-    jobs = [(i, inst, budget, prefix) for i, prefix in enumerate(prefixes)]
+    # the budget bounds the whole solve: one deadline shared by every
+    # subtree, and the node budget split across them (a subtree overshoots
+    # its share by at most the one node that trips it)
+    deadline = _deadline(budget)
+    jobs = []
+    for i, prefix in enumerate(prefixes):
+        share = None
+        if budget.max_nodes is not None:
+            share = budget.max_nodes // len(prefixes) + (i < budget.max_nodes % len(prefixes))
+        jobs.append((i, inst, share, deadline, prefix))
     with multiprocessing.Pool(workers) as pool:
         indexed = sorted(pool.imap_unordered(_subtree_worker, jobs, chunksize=1))
     results = [outcome for _, outcome in indexed]
@@ -678,25 +384,24 @@ def _solve_parallel(inst: ModelInstance, budget: SearchBudget, workers: int) -> 
     return SolveOutcome(Status.OPTIMAL, best[0], best[1], stats)
 
 
+def _deadline(budget: SearchBudget) -> Optional[float]:
+    if budget.max_seconds is None:
+        return None
+    return time.monotonic() + budget.max_seconds
+
+
 def solve(
     inst: ModelInstance, budget: SearchBudget = UNLIMITED, workers: int = 1
 ) -> SolveOutcome:
     """Exact optimum of an instance, or Infeasible, or Aborted on budget.
 
     workers=1 (the default) is the deterministic mode: repeated runs
-    return identical outcomes including the witness.
+    return identical outcomes including the witness.  The budget bounds
+    the whole solve, whatever the worker count.
     """
     if workers <= 1:
-        return _solve_single(inst, budget)
+        return _search(inst, budget.max_nodes, _deadline(budget))
     return _solve_parallel(inst, budget, workers)
-
-
-def lower_bound_report(
-    inst: ModelInstance, budget: SearchBudget = UNLIMITED
-) -> SolveOutcome:
-    """Anytime variant: like solve, but an Aborted run still surfaces the
-    best feasible family found (its value bounds the true optimum)."""
-    return solve(inst, budget)
 
 
 # -- exhaustive oracle --------------------------------------------------------

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,6 @@ from franklopt.solver import (
     SearchBudget,
     Status,
     exhaustive_oracle,
-    lower_bound_report,
     solve,
 )
 
@@ -99,8 +101,17 @@ class TestSolveKnownValues:
         assert out.witness.sets == (0,)
 
     def test_wide_ground_set_trivial_regime(self):
-        # descends 2^12 decisions deep; runs on the big-stack thread path
-        out = solve(inst("f", 12, 1 << 11))
+        # descends 2^12 decisions deep in one loop, so it needs neither a
+        # higher recursion limit nor a thread with a bigger stack
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        threads = threading.active_count()
+        try:
+            out = solve(inst("f", 12, 1 << 11))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(saved)
+        assert threading.active_count() == threads
         assert out.status is Status.OPTIMAL
         assert out.value == 1 << 12
 
@@ -232,26 +243,28 @@ class TestBudget:
         out = solve(inst("g", 4, 17), SearchBudget(max_nodes=10))
         assert out.status is Status.INFEASIBLE
 
-    def test_unlimited_flag(self):
-        assert SearchBudget().unlimited
-        assert not SearchBudget(max_nodes=5).unlimited
-
-
-class TestLowerBoundReport:
     def test_feasible_family_under_tiny_budget(self):
-        out = lower_bound_report(inst("f", 6, 24), SearchBudget(max_nodes=3000))
+        out = solve(inst("f", 6, 24), SearchBudget(max_nodes=3000))
         assert out.status is Status.ABORTED
         assert out.incumbent_value is not None
         assert check_feasible(inst("f", 6, 24), out.incumbent_witness).feasible
 
-    def test_exact_when_unlimited(self):
-        out = lower_bound_report(inst("f", 3, 3))
-        assert out.status is Status.OPTIMAL
-        assert out.value == 5
-
-    def test_trivially_infeasible_immediate(self):
-        out = lower_bound_report(inst("g", 4, 17), SearchBudget(max_nodes=100))
-        assert out.status is Status.INFEASIBLE
+    @pytest.mark.parametrize(
+        "budget",
+        [SearchBudget(max_seconds=0.5), SearchBudget(max_nodes=20000)],
+        ids=["seconds", "nodes"],
+    )
+    def test_parallel_budget_bounds_whole_solve(self, budget):
+        # split into 64 subtrees; each used to get the whole budget
+        problem = inst("f", 6, 24)
+        started = time.monotonic()
+        out = solve(problem, budget, workers=2)
+        assert time.monotonic() - started < 3
+        assert out.status is Status.ABORTED
+        if budget.max_nodes is not None:
+            assert out.stats.nodes <= budget.max_nodes + 64
+        assert check_feasible(problem, out.incumbent_witness).feasible
+        assert objective_value(problem, out.incumbent_witness) == out.incumbent_value
 
 
 if __name__ == "__main__":
