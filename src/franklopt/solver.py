@@ -90,9 +90,6 @@ class SolveOutcome:
     incumbent_witness: Optional[Family] = None
 
 
-_IN, _OUT = 1, 2
-
-
 def _search(
     inst: ModelInstance,
     max_nodes: Optional[int],
@@ -114,7 +111,8 @@ def _search(
     for k in range(1, size + 1):
         tail[k] = tail[k - 1] + order[size - k].bit_count()
     elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(size)]
-    state = bytearray(size)
+    IN, OUT = 1, 2
+    state = bytearray(size)  # per mask: 0 undecided, IN or OUT
     deg = [0] * n
     remaining = [half] * n  # undecided sets containing each element
     included: list[int] = []
@@ -144,7 +142,8 @@ def _search(
 
     # What the objective decides: the degree cap `cap`, the set count
     # `goal` a branch must still be able to reach, the leaf, and the root
-    # bound `target` whose attainment ends the search.
+    # bound `target` whose attainment ends the search (for a subtree too:
+    # it is the whole problem's bound).
     if maximize:
         cap = param
         goal = 1  # incumbent + 1, with no incumbent counted as 0
@@ -183,20 +182,22 @@ def _search(
             limit = suffix
             # symmetry reduction: explore only families whose final
             # frequencies can still be non-increasing in the label (a
-            # relabeling always exists); reach = deg[i-1] + remaining[i-1]
-            reach = size
+            # relabeling always exists).  reach = min(deg[i-1] +
+            # remaining[i-1], cap) bounds deg[i] for both that and the cap.
+            reach = cap
             for i in range(n):
                 d = deg[i]
-                r = remaining[i]
                 if reach < d:
                     visit = False
                     break
-                reach = d + r
+                r = remaining[i]
                 room = cap - d
-                if room < 0:
-                    visit = False
-                    break
-                caps_left += room if room < r else r
+                if room < r:
+                    caps_left += room
+                    reach = cap
+                else:
+                    caps_left += r
+                    reach = d + r
                 avoid = room + suffix - r
                 if avoid < limit:
                     limit = avoid
@@ -234,7 +235,7 @@ def _search(
                 break
             depth -= 1
             mask = order[depth]
-            if state[mask] == _IN:
+            if state[mask] == IN:
                 if twin:
                     for pid in pairs_of_mask[mask]:
                         if pair_in[pid] == 2:
@@ -269,11 +270,11 @@ def _search(
                 # already decided, so closure is checked against `included`
                 for t in included:
                     v = t | mask
-                    if v != t and v != mask and state[v] != _IN:
+                    if v != t and v != mask and state[v] != IN:
                         ok = False
                         break
             if ok:
-                state[mask] = _IN
+                state[mask] = IN
                 included.append(mask)
                 for e in elems[mask]:
                     deg[e] += 1
@@ -290,7 +291,7 @@ def _search(
             if not second:
                 visit = False
                 continue
-        state[mask] = _OUT
+        state[mask] = OUT
         for e in elems[mask]:
             remaining[e] -= 1
         depth += 1
