@@ -255,7 +255,7 @@ class TestBudget:
         ids=["seconds", "nodes"],
     )
     def test_parallel_budget_bounds_whole_solve(self, budget):
-        # split into 64 subtrees; each used to get the whole budget
+        # the 64 subtrees share one deadline and split the node budget
         problem = inst("f", 6, 24)
         started = time.monotonic()
         out = solve(problem, budget, workers=2)
