@@ -221,7 +221,7 @@ def assignment_feasible(parsed: ParsedLp, x_values: dict[str, int]) -> bool:
 
     Continuous z variables are set to their largest value allowed by the
     link rows (min of the linked x values, capped at 1), which is optimal
-    for the cover rows; this mirrors the model builder's witness check.
+    for the cover rows.
     """
     z_cap: dict[str, int] = {var: 1 for var in parsed.bounded}
     pure_rows = []

@@ -7,9 +7,10 @@ Problem kinds:
   FT / GT  the same objectives with every element additionally required
       to be a non-trivial twin difference, via continuous link variables.
 
-A built ConstraintSystem is an immutable value consumed by the witness
-checker here and by the LP writer; the exact search in ``solver`` works
-on the problems directly.
+A built ConstraintSystem is an immutable value consumed by the LP
+writer.  The witness check here reads the family itself, condition by
+condition, and the exact search in ``solver`` works on the problems
+directly; tests hold the rows to the same conditions.
 
 Variable naming: ``x_<d>`` is the 0/1 indicator of the subset whose bit
 pattern has decimal value d; ``z_<d>_e<k>`` is the twin link variable for
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .families import Family, MAX_GROUND_SET, frequencies, twin_pairs
+from .families import Family, MAX_GROUND_SET, frequencies, is_union_closed, twin_counts, twin_pairs
 
 
 class ModelKind(enum.Enum):
@@ -152,7 +152,6 @@ def _twin_vars(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=128)
 def build(inst: ModelInstance) -> ConstraintSystem:
     """Emit the complete, duplicate-free constraint system for an instance."""
     n = inst.n
@@ -219,22 +218,6 @@ def build(inst: ModelInstance) -> ConstraintSystem:
     )
 
 
-def family_assignment(inst: ModelInstance, fam: Family) -> dict[str, int]:
-    """0/1 x values for a family, with each z at its maximum min(x_S, x_Se).
-
-    Under this z choice the twin-link rows always hold and a twin-cover
-    row holds iff the element has a fully included non-trivial pair, so
-    feasibility of the assignment matches feasibility of the family.
-    """
-    members = set(fam.sets)
-    assignment = {var_x(m): int(m in members) for m in range(1 << inst.n)}
-    if inst.kind.twin:
-        for little, e in _twin_vars(inst.n):
-            big = little | (1 << (e - 1))
-            assignment[var_z(little, e)] = int(little in members and big in members)
-    return assignment
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
@@ -245,16 +228,32 @@ class FeasibilityReport:
 
 
 def check_feasible(inst: ModelInstance, fam: Family) -> FeasibilityReport:
-    """Test a family against every constraint of its instance.
+    """Test a family against every condition of its instance.
 
-    Returns the names of all violated rows; empty means feasible.
+    Returns the names of the violated conditions, in this order; empty
+    means feasible:
+      union    the family is not union-closed;
+      deg<e>   element e is in more than a sets (F, FT);
+      ord<i>   element i is in fewer sets than element i+1 (G, GT);
+      card     the family does not have exactly m sets (G, GT);
+      tc<e>    element e is not a non-trivial twin difference (FT, GT).
+    The names follow the prefixes of the constraint rows that ``build``
+    emits for the same conditions.
     """
     if fam.n != inst.n:
         raise ValueError(f"family over [{fam.n}] checked against n={inst.n} instance")
-    system = build(inst)
-    assignment = family_assignment(inst, fam)
-    violated = tuple(c.name for c in system.constraints if not c.evaluate(assignment))
-    return FeasibilityReport(not violated, violated)
+    violated = [] if is_union_closed(fam) else ["union"]
+    freq = frequencies(fam)
+    if inst.kind.maximize:
+        violated += [f"deg{e}" for e, f in enumerate(freq, 1) if f > inst.param]
+    else:
+        violated += [f"ord{i}" for i in range(1, inst.n) if freq[i - 1] < freq[i]]
+        if fam.m != inst.param:
+            violated.append("card")
+    if inst.kind.twin:
+        nontrivial, _ = twin_counts(fam)
+        violated += [f"tc{e}" for e, c in enumerate(nontrivial, 1) if not c]
+    return FeasibilityReport(not violated, tuple(violated))
 
 
 def objective_value(inst: ModelInstance, fam: Family) -> int:

@@ -112,8 +112,9 @@ def append_cache(path, records: dict[Cell, TableEntry]) -> None:
 
 
 def _solve_cell(args) -> tuple[Cell, SolveOutcome]:
-    kind, n, param, budget = args
-    return (kind, n, param), solve(ModelInstance(ModelKind(kind), n, param), budget)
+    kind, n, param, budget, workers = args
+    inst = ModelInstance(ModelKind(kind), n, param)
+    return (kind, n, param), solve(inst, budget, workers=workers)
 
 
 def compute_grid(
@@ -152,17 +153,9 @@ def compute_grid(
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_solve_cell, todo)
-    elif workers > 1 and len(todo) == 1:
-        kind_tag, n, param, cell_budget = todo[0]
-        results = [
-            (
-                (kind_tag, n, param),
-                solve(ModelInstance(ModelKind(kind_tag), n, param), cell_budget, workers=workers),
-            )
-        ]
+            results = pool.map(_solve_cell, [job + (1,) for job in todo])
     else:
-        results = [_solve_cell(job) for job in todo]
+        results = [_solve_cell(job + (workers,)) for job in todo]
 
     for cell, outcome in results:
         if outcome.status is Status.ABORTED:
@@ -292,11 +285,7 @@ def compare_to_reference(
             continue
         violated = check_feasible(inst, fam).violations
         if violated:
-            report.add(
-                f"{label}@witness",
-                FAIL,
-                f"witness violates {len(violated)} rows: {', '.join(violated[:5])}",
-            )
+            report.add(f"{label}@witness", FAIL, f"witness violates {', '.join(violated)}")
             continue
         bound = objective_value(inst, fam)
         for tag, ref_value in reference.lookup(kind, n, param):

@@ -1,8 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from franklopt.families import family_from_masks
+from franklopt.families import family_from_masks, sort_by_frequency, union_closure
 from franklopt.lp import MAX_LINE, assignment_feasible, export, parse_lp, write_lp
 from franklopt.models import ModelInstance, ModelKind, build, check_feasible, var_x
 
@@ -14,6 +15,13 @@ GOLDEN_CASES = [
     (ModelKind.FT, 3, 4, "ft_n3_p4.lp"),
     (ModelKind.GT, 4, 9, "gt_n4_p9.lp"),
 ]
+
+N4_PARAMS = {
+    ModelKind.F: (3, 5, 8),
+    ModelKind.G: (5, 7, 10),
+    ModelKind.FT: (5, 8, 12),
+    ModelKind.GT: (6, 8, 11),
+}
 
 
 class TestGolden:
@@ -106,6 +114,24 @@ class TestReader:
             assert assignment_feasible(parsed, x_values) == bool(
                 check_feasible(inst, fam)
             ), (kind, bits)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_feasibility_matches_model_check_on_sampled_n4_families(self, kind):
+        rng = random.Random(4)
+        verdicts = set()
+        for param in N4_PARAMS[kind]:
+            inst = ModelInstance(kind, 4, param)
+            parsed = parse_lp(export(build(inst)).text)
+            for i in range(200):
+                fam = family_from_masks(4, rng.sample(range(16), rng.randint(0, 8)))
+                if i % 4:
+                    # closed and frequency-sorted, so that feasible families occur
+                    fam = sort_by_frequency(union_closure(fam))
+                x_values = {var_x(m): int(m in fam) for m in range(16)}
+                feasible = assignment_feasible(parsed, x_values)
+                assert feasible == bool(check_feasible(inst, fam)), (param, fam.sets)
+                verdicts.add(feasible)
+        assert verdicts == {True, False}
 
     def test_rejects_foreign_content(self):
         with pytest.raises(ValueError):

@@ -1,25 +1,29 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from franklopt.families import (
+    MAX_GROUND_SET,
+    clone_element,
     family_from_masks,
     is_union_closed,
     make_family,
     min_nontrivial_twin_count,
+    read_family,
 )
 from franklopt.models import (
     ModelInstance,
     ModelKind,
     build,
     check_feasible,
-    family_assignment,
     has_nontrivial_twin_cover,
     objective_value,
     var_x,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 INTRO = make_family(3, [[], [1, 2], [1, 3], [1, 2, 3]])
 
 
@@ -101,7 +105,7 @@ class TestBuild:
         for row in covers:
             assert len(row.terms) == (1 << (n - 1)) - 1
 
-    def test_deterministic_and_cached(self):
+    def test_deterministic(self):
         a = build(ModelInstance(ModelKind.GT, 3, 6))
         b = build(ModelInstance(ModelKind.GT, 3, 6))
         assert a == b
@@ -172,11 +176,23 @@ class TestCheckFeasible:
             tc_ok = not any(v.startswith("tc") for v in report.violations)
             assert tc_ok == expected
 
-    def test_z_assignment_respects_links(self):
-        problem = ModelInstance(ModelKind.GT, 3, 4)
-        assignment = family_assignment(problem, INTRO)
-        system = build(problem)
-        assert all(c.evaluate(assignment) for c in system.by_prefix("tl"))
+    def test_frequency_order_violation(self):
+        # element 2 is in four sets, element 1 in only two
+        fam = make_family(3, [[], [2], [1, 2], [2, 3], [1, 2, 3]])
+        report = check_feasible(ModelInstance(ModelKind.G, 3, 5), fam)
+        assert report.violations == ("ord1",)
+
+    def test_set_count_violation(self):
+        report = check_feasible(ModelInstance(ModelKind.G, 3, 5), INTRO)
+        assert report.violations == ("card",)
+
+    def test_widest_ground_set(self):
+        fam = read_family(GOLDEN / "f_n6_a24.fam")
+        while fam.n < MAX_GROUND_SET:
+            fam = clone_element(fam, 1)
+        inst = ModelInstance(ModelKind.F, MAX_GROUND_SET, 24)
+        assert check_feasible(inst, fam).feasible
+        assert objective_value(inst, fam) == 43
 
 
 class TestObjectiveValue:

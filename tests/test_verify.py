@@ -97,6 +97,20 @@ class TestComputeGrid:
         par = compute_grid(ModelKind.GT, range(2, 5), range(2, 9), workers=2)
         assert seq.entries == par.entries
 
+    def test_single_cell_parallel_solve_matches_sequential(self):
+        seq = compute_grid(ModelKind.F, [5], [9])
+        par = compute_grid(ModelKind.F, [5], [9], workers=2)
+        assert par.entries == seq.entries == {("f", 5, 9): TableEntry(17, "solver")}
+        assert not par.warnings
+
+    def test_single_cell_parallel_budget_abort(self):
+        table = compute_grid(
+            ModelKind.F, [5], [12], budget=SearchBudget(max_nodes=1000), workers=2
+        )
+        assert not table.entries
+        assert len(table.warnings) == 1
+        assert table.warnings[0].startswith("f(5,12): budget exhausted")
+
 
 class TestCache:
     def test_round_trip_and_reuse(self, tmp_path):
@@ -204,6 +218,7 @@ class TestCompareToReference:
         report = compare_to_reference(ValueTable(), witnesses)
         assert [i.cell for i in report.failures] == ["f(3,3)@witness", "f(4,3)@witness"]
         assert "violates" in report.failures[0].detail
+        assert report.failures[0].detail == "witness violates union"
         assert not any(i.verdict == PASS for i in report.items)
 
     def test_machine_lines_format(self):
