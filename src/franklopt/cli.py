@@ -16,6 +16,7 @@ import os
 import sys
 
 from .families import (
+    MAX_GROUND_SET,
     degree,
     family_to_text,
     frequencies,
@@ -31,14 +32,53 @@ from .solver import SearchBudget, Status, solve
 from . import verify as verify_mod
 
 CACHE_ENV = "FRANKLOPT_CACHE"
+CHECKS = ("reference", "properties", "stability", "falgas-ravry")
 
 
-def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+# Argument types: argparse turns their errors into usage errors (exit 2).
+
+
+def _ground_size(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise argparse.ArgumentTypeError(f"n={n} out of range 1..{MAX_GROUND_SET}")
+    return n
+
+
+def _positive(text: str) -> int:
     value = int(text)
-    return range(value, value + 1)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"param must be positive, got {value}")
+    return value
+
+
+def _range_of(item):
+    """Type for A or A..B, each end parsed by `item`."""
+
+    def _range(text: str) -> range:
+        lo, dots, hi = text.partition("..")
+        return range(item(lo), item(hi if dots else lo) + 1)
+
+    return _range
+
+
+def _grid_spec(text: str):
+    """model:A..B:C..D -> (kind, ns, params)."""
+    try:
+        model, ns, params = text.split(":")
+        return ModelKind.parse(model), _range_of(_ground_size)(ns), _range_of(_positive)(params)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad --grid-spec {text!r}; expected model:A..B:C..D")
+
+
+def _checks(text: str) -> tuple[str, ...]:
+    wanted = CHECKS if text == "all" else tuple(text.split(","))
+    for check in wanted:
+        if check not in CHECKS:
+            raise argparse.ArgumentTypeError(
+                f"unknown check {check!r}; expected one of {', '.join(CHECKS)} or all"
+            )
+    return wanted
 
 
 def _budget(args) -> SearchBudget:
@@ -105,37 +145,29 @@ def _render_grid(table, kind, ns, params, fmt) -> str:
 
 def cmd_grid(args) -> int:
     kind = ModelKind.parse(args.model)
-    ns, params = _parse_range(args.n), _parse_range(args.param)
     table = verify_mod.compute_grid(
         kind,
-        ns,
-        params,
+        args.n,
+        args.param,
         budget=_budget(args),
         cache_path=_cache_path(args),
         workers=args.threads,
         skip_trivial=args.skip_trivial,
     )
-    print(_render_grid(table, kind, ns, params, args.format))
+    print(_render_grid(table, kind, args.n, args.param, args.format))
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
-CHECKS = ("reference", "properties", "stability", "falgas-ravry")
-
-
 def cmd_verify(args) -> int:
     table = verify_mod.ValueTable()
-    for spec in args.grid_spec:
-        try:
-            model, ns, params = spec.split(":")
-        except ValueError:
-            raise SystemExit(f"bad --grid-spec {spec!r}; expected model:lo..hi:lo..hi")
+    for kind, ns, params in args.grid_spec:
         table.merge(
             verify_mod.compute_grid(
-                ModelKind.parse(model),
-                _parse_range(ns),
-                _parse_range(params),
+                kind,
+                ns,
+                params,
                 budget=_budget(args),
                 cache_path=_cache_path(args),
                 workers=args.threads,
@@ -144,10 +176,6 @@ def cmd_verify(args) -> int:
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    wanted = CHECKS if args.checks == "all" else tuple(args.checks.split(","))
-    for check in wanted:
-        if check not in CHECKS:
-            raise SystemExit(f"unknown check {check!r}; expected one of {', '.join(CHECKS)} or all")
     runners = {
         "reference": verify_mod.compare_to_reference,
         "properties": verify_mod.check_properties,
@@ -155,7 +183,7 @@ def cmd_verify(args) -> int:
         "falgas-ravry": verify_mod.check_falgas_ravry,
     }
     failed = False
-    for check in wanted:
+    for check in args.checks:
         report = runners[check](table)
         print(report.render())
         for line in report.machine_lines():
@@ -209,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance to optimality")
     p.add_argument("--model", required=True, choices=["f", "g", "ft", "gt"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", type=int, required=True, help="degree cap a or set count m")
+    p.add_argument("--n", type=_ground_size, required=True)
+    p.add_argument("--param", type=_positive, required=True, help="degree cap a or set count m")
     p.add_argument("--witness", metavar="PATH", help="write the witness family here")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("grid", help="solve a rectangle of instances")
     p.add_argument("--model", required=True, choices=["f", "g", "ft", "gt"])
-    p.add_argument("--n", required=True, metavar="A..B")
-    p.add_argument("--param", required=True, metavar="C..D")
+    p.add_argument("--n", type=_range_of(_ground_size), required=True, metavar="A..B")
+    p.add_argument("--param", type=_range_of(_positive), required=True, metavar="C..D")
     p.add_argument("--cache", metavar="PATH")
     p.add_argument("--format", choices=["tsv", "markdown"], default="tsv")
     p.add_argument("--skip-trivial", action="store_true")
@@ -226,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="run the grid checkers")
-    p.add_argument("--checks", default="all", help="comma list: " + ",".join(CHECKS))
+    p.add_argument("--checks", type=_checks, default="all", help="comma list: " + ",".join(CHECKS))
     p.add_argument(
         "--grid-spec",
+        type=_grid_spec,
         action="append",
         required=True,
         metavar="MODEL:A..B:C..D",
@@ -240,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-lp", help="write one instance in LP text format")
     p.add_argument("--model", required=True, choices=["f", "g", "ft", "gt"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", type=int, required=True)
+    p.add_argument("--n", type=_ground_size, required=True)
+    p.add_argument("--param", type=_positive, required=True)
     p.add_argument("--out", required=True, metavar="PATH", help="target path or - for stdout")
     p.set_defaults(func=cmd_export_lp)
 

@@ -29,7 +29,6 @@ _SUBSET_COMMENT_LIMIT = 6  # ground sets this wide get a full mask table
 @dataclass(frozen=True)
 class LpDocument:
     lines: tuple[str, ...]
-    naming: str = NAMING
 
     @property
     def text(self) -> str:
@@ -119,9 +118,6 @@ class ParsedLp:
     rows: tuple[Constraint, ...]
     bounded: tuple[str, ...]
     binaries: tuple[str, ...]
-
-    def x_masks(self) -> list[int]:
-        return sorted(int(v[2:]) for v in self.binaries)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z]\w*:$")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .families import Family, MAX_GROUND_SET, frequencies, is_union_closed, twin_counts, twin_pairs
+from .families import Family, MAX_GROUND_SET, frequencies, is_union_closed, twin_counts
 
 
 class ModelKind(enum.Enum):
@@ -265,10 +265,3 @@ def objective_value(inst: ModelInstance, fam: Family) -> int:
     if not fam.sets:
         return 0
     return frequencies(fam)[0]
-
-
-def has_nontrivial_twin_cover(fam: Family) -> bool:
-    """True iff every element is a non-trivial twin difference."""
-    return all(
-        any(not p.trivial for p in twin_pairs(fam, e)) for e in range(1, fam.n + 1)
-    )

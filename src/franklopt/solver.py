@@ -15,8 +15,10 @@ the leaves reached are exactly the union-closed families.  Pruning:
     still be non-increasing in the label (every family has such a
     relabeling, and all four objectives are label-invariant);
   - for the twin kinds, a per-element count of non-trivial twin pairs
-    that can still be fully included; a branch dies when some element has
-    none left and none completed.
+    (S, S+e) not yet dead; a branch dies when some element has none left.
+    The decision order settles each pair: S+e is decided before S, so a
+    pair dies when S+e is excluded, and when S is decided it completes
+    (S and S+e in) or dies (S out).
 
 The search is one non-recursive loop over a depth counter, for all four
 kinds: the objective sets the degree cap, the set count a branch must
@@ -27,9 +29,13 @@ minimizing).
 Single-worker runs are fully deterministic, including the witness.  With
 several workers the top of the decision tree is split into subtrees, each
 the same loop with its first decisions forced, solved independently and
-combined; status and optimal value do not depend on the worker count.  A
+combined in prefix order, so unbudgeted runs are deterministic too.  A
 budget bounds the whole solve: the subtrees share one deadline and split
-the node budget between them.
+the node budget between them.  Status and optimal value do not depend on
+the worker count for solves that finish within their budget; under a node
+budget a split solve can abort where one worker finishes, because each
+subtree gets a fixed share and one that ends early does not pass its
+unused share on.
 
 ``exhaustive_oracle`` answers the same questions for n <= 4 by filtering
 every subset of the power set through the family-core predicates.  It
@@ -45,8 +51,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .families import Family, degree, is_union_closed, sort_by_frequency
-from .models import ModelInstance, has_nontrivial_twin_cover
+from .families import Family, degree, is_union_closed, min_nontrivial_twin_count, sort_by_frequency
+from .models import ModelInstance
 
 
 class Status(enum.Enum):
@@ -121,24 +127,16 @@ def _search(
     aborted = False
 
     if twin:
-        # one pair per (element e, set S without e) with S not of size
-        # n-1; pair_elem[pid] = e, and pairs_of_mask lists the pairs whose
-        # two members S and S+e include a given mask
-        pair_elem: list[int] = []
-        pairs_of_mask: list[list[int]] = [[] for _ in range(size)]
-        alive = [0] * n  # pairs of each element with no member out
-        for e in range(n):
-            bit = 1 << e
-            for little in range(size):
-                if little & bit or little.bit_count() == n - 1:
-                    continue
-                pairs_of_mask[little].append(len(pair_elem))
-                pairs_of_mask[little | bit].append(len(pair_elem))
-                pair_elem.append(e)
-                alive[e] += 1
-        sat = [0] * n  # pairs of each element with both members in
-        pair_in = [0] * len(pair_elem)
-        pair_out = [0] * len(pair_elem)
+        # a twin pair is a set S without e, not of size n-1, and S+e;
+        # grows[s]: the e with s = S; shrinks[s]: the e with s = S+e
+        grows = [
+            () if mask.bit_count() == n - 1
+            else tuple(e for e in range(n) if not mask >> e & 1)
+            for mask in range(size)
+        ]
+        shrinks = elems[:-1] + [()]
+        alive = [half - 1] * n  # pairs of each element not dead
+        sat = [0] * n  # pairs of each element complete
 
     # What the objective decides: the degree cap `cap`, the set count
     # `goal` a branch must still be able to reach, the leaf, and the root
@@ -237,10 +235,9 @@ def _search(
             mask = order[depth]
             if state[mask] == IN:
                 if twin:
-                    for pid in pairs_of_mask[mask]:
-                        if pair_in[pid] == 2:
-                            sat[pair_elem[pid]] -= 1
-                        pair_in[pid] -= 1
+                    for e in grows[mask]:
+                        if state[mask | 1 << e] == IN:
+                            sat[e] -= 1
                 for e in elems[mask]:
                     deg[e] -= 1
                     remaining[e] += 1
@@ -248,10 +245,11 @@ def _search(
                 include = False
             else:
                 if twin:
-                    for pid in pairs_of_mask[mask]:
-                        if pair_out[pid] == 1:
-                            alive[pair_elem[pid]] += 1
-                        pair_out[pid] -= 1
+                    for e in shrinks[mask]:
+                        alive[e] += 1
+                    for e in grows[mask]:
+                        if state[mask | 1 << e] == IN:
+                            alive[e] += 1
                 for e in elems[mask]:
                     remaining[e] += 1
                 include = True
@@ -280,10 +278,9 @@ def _search(
                     deg[e] += 1
                     remaining[e] -= 1
                 if twin:
-                    for pid in pairs_of_mask[mask]:
-                        pair_in[pid] += 1
-                        if pair_in[pid] == 2:
-                            sat[pair_elem[pid]] += 1
+                    for e in grows[mask]:
+                        if state[mask | 1 << e] == IN:
+                            sat[e] += 1
                 depth += 1
                 visit = True
                 continue
@@ -297,13 +294,17 @@ def _search(
         depth += 1
         visit = True
         if twin:
-            for pid in pairs_of_mask[mask]:
-                pair_out[pid] += 1
-                if pair_out[pid] == 1:
-                    e = pair_elem[pid]
+            # the pairs this exclusion kills: those with mask = S+e, and
+            # those with mask = S whose S+e is in (the rest died earlier)
+            for e in shrinks[mask]:
+                alive[e] -= 1
+                if not alive[e]:
+                    visit = False  # e lost its last completable twin pair
+            for e in grows[mask]:
+                if state[mask | 1 << e] == IN:
                     alive[e] -= 1
-                    if alive[e] == 0 and sat[e] == 0:
-                        visit = False  # e lost its last completable twin pair
+                    if not alive[e]:
+                        visit = False
             if not visit:
                 props += 1
 
@@ -313,18 +314,20 @@ def _search(
         witness = Family(n, best_masks)
         if not maximize:
             witness = sort_by_frequency(witness)
+    return _outcome(aborted, best, witness, stats)
+
+
+def _outcome(
+    aborted: bool, value: Optional[int], witness: Optional[Family], stats: SearchStats
+) -> SolveOutcome:
+    """An aborted search reports its best family only as an incumbent."""
     if aborted:
         return SolveOutcome(
-            Status.ABORTED, stats=stats, incumbent_value=best, incumbent_witness=witness
+            Status.ABORTED, stats=stats, incumbent_value=value, incumbent_witness=witness
         )
     if witness is None:
         return SolveOutcome(Status.INFEASIBLE, stats=stats)
-    return SolveOutcome(Status.OPTIMAL, best, witness, stats)
-
-
-def _subtree_worker(args) -> tuple[int, SolveOutcome]:
-    index, inst, max_nodes, deadline, prefix = args
-    return index, _search(inst, max_nodes, deadline, prefix)
+    return SolveOutcome(Status.OPTIMAL, value, witness, stats)
 
 
 def _solve_parallel(inst: ModelInstance, budget: SearchBudget, workers: int) -> SolveOutcome:
@@ -346,43 +349,27 @@ def _solve_parallel(inst: ModelInstance, budget: SearchBudget, workers: int) -> 
         share = None
         if budget.max_nodes is not None:
             share = budget.max_nodes // len(prefixes) + (i < budget.max_nodes % len(prefixes))
-        jobs.append((i, inst, share, deadline, prefix))
+        jobs.append((inst, share, deadline, prefix))
     with multiprocessing.Pool(workers) as pool:
-        indexed = sorted(pool.imap_unordered(_subtree_worker, jobs, chunksize=1))
-    results = [outcome for _, outcome in indexed]
+        results = pool.starmap(_search, jobs, chunksize=1)  # in prefix order
 
     stats = SearchStats()
     for out in results:
         stats.nodes += out.stats.nodes
         stats.propagations += out.stats.propagations
         stats.seconds = max(stats.seconds, out.stats.seconds)
-
+    # every subtree's best family; the first best in prefix order wins
+    found = [
+        (out.value, out.witness) if out.value is not None
+        else (out.incumbent_value, out.incumbent_witness)
+        for out in results
+    ]
     better = max if inst.kind.maximize else min
-
-    def pick(cur, cand):
-        if cand[0] is None:
-            return cur
-        if cur[0] is None or better(cur[0], cand[0]) == cand[0] != cur[0]:
-            return cand
-        return cur
-
-    best = (None, None)
-    for out in results:
-        if out.status is Status.OPTIMAL:
-            best = pick(best, (out.value, out.witness))
-        elif out.status is Status.ABORTED:
-            best = pick(best, (out.incumbent_value, out.incumbent_witness))
-
-    if any(out.status is Status.ABORTED for out in results):
-        return SolveOutcome(
-            Status.ABORTED,
-            stats=stats,
-            incumbent_value=best[0],
-            incumbent_witness=best[1],
-        )
-    if best[0] is None:
-        return SolveOutcome(Status.INFEASIBLE, stats=stats)
-    return SolveOutcome(Status.OPTIMAL, best[0], best[1], stats)
+    value, witness = better(
+        (f for f in found if f[0] is not None), key=lambda f: f[0], default=(None, None)
+    )
+    aborted = any(out.status is Status.ABORTED for out in results)
+    return _outcome(aborted, value, witness, stats)
 
 
 def _deadline(budget: SearchBudget) -> Optional[float]:
@@ -422,7 +409,8 @@ def _family_catalog(n: int):
         fam = Family(n, masks)
         if not is_union_closed(fam):
             continue
-        catalog.append((len(masks), degree(fam), has_nontrivial_twin_cover(fam), masks))
+        cover = min_nontrivial_twin_count(fam) >= 1
+        catalog.append((len(masks), degree(fam), cover, masks))
     return tuple(catalog)
 
 

@@ -44,10 +44,24 @@ class TestSolve:
         assert captured.out == "aborted\n"
         assert "incumbent=" in captured.err
 
-    def test_usage_error_exit_2(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--model", "q", "--n", "3", "--param", "3"],
+            ["solve", "--model", "f", "--n", "0", "--param", "3"],
+            ["solve", "--model", "f", "--n", "17", "--param", "3"],
+            ["solve", "--model", "f", "--n", "3", "--param", "0"],
+            ["grid", "--model", "f", "--n", "3..x", "--param", "1..2"],
+            ["verify", "--grid-spec", "f:1..2"],
+            ["verify", "--checks", "bogus", "--grid-spec", "f:1..2:1..2"],
+        ],
+        ids=["model", "n0", "n17", "param0", "grid-range", "grid-spec", "checks"],
+    )
+    def test_usage_error_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--model", "q", "--n", "3", "--param", "3"])
+            main(argv)
         assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestGrid:
@@ -112,12 +126,14 @@ class TestVerify:
         assert "CHECK reference f(3,3)@f-core pass" in out
 
     def test_unknown_check_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "--checks", "nope", "--grid-spec", "f:1..3:1..4"])
+        assert exc.value.code == 2
 
     def test_bad_grid_spec_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "--grid-spec", "f:1..3"])
+        assert exc.value.code == 2
 
 
 class TestExportLp:

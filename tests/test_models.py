@@ -18,7 +18,6 @@ from franklopt.models import (
     ModelKind,
     build,
     check_feasible,
-    has_nontrivial_twin_cover,
     objective_value,
     var_x,
 )
@@ -171,7 +170,6 @@ class TestCheckFeasible:
             if not is_union_closed(fam):
                 continue
             expected = min_nontrivial_twin_count(fam) >= 1
-            assert has_nontrivial_twin_cover(fam) == expected
             report = check_feasible(problem, fam)
             tc_ok = not any(v.startswith("tc") for v in report.violations)
             assert tc_ok == expected
