@@ -3,14 +3,20 @@
 ``solve`` runs a depth-first branch-and-bound over set-inclusion
 decisions.  Sets are decided in a fixed order (descending cardinality,
 then descending bit pattern), so the union of two distinct
-earlier-decided sets is itself already decided; including a set then only
-requires checking that its union with every included set is present, and
-the leaves reached are exactly the union-closed families.  Pruning:
+earlier-decided sets is itself already decided, and the leaves reached
+are exactly the union-closed families.  A set m is *blocked* once some
+included t has t|m excluded: m can then never join the family below that
+node.  Only an inclusion blocks new sets (every included set is decided
+before its proper subsets), so the search keeps the blocked sets as one
+bitset, grown on inclusion and restored on undo, and including m needs
+only the test that m is not blocked.  The bounds count only *available*
+sets, undecided and not blocked.  Pruning:
 
   - per-element inclusion counters against the degree cap (F/FT) or the
     incumbent (G/GT);
-  - an optimistic completion bound combining remaining per-element
-    capacity with the sizes of the cheapest undecided sets;
+  - an optimistic completion bound combining the per-element capacity
+    left among the available sets with the sizes of the cheapest
+    available sets;
   - a symmetry reduction to families whose final element frequencies can
     still be non-increasing in the label (every family has such a
     relabeling, and all four objectives are label-invariant);
@@ -117,11 +123,23 @@ def _search(
     for k in range(1, size + 1):
         tail[k] = tail[k - 1] + order[size - k].bit_count()
     elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(size)]
+    full = size - 1
+    # bitsets over masks: the sets containing each element, and the sets
+    # of each cardinality
+    with_elem = [_subsets(full ^ 1 << e) << (1 << e) for e in range(n)]
+    of_card = [1]
+    for e in range(n):
+        of_card = [a | b << (1 << e) for a, b in zip(of_card + [0], [0] + of_card)]
     IN, OUT = 1, 2
     state = bytearray(size)  # per mask: 0 undecided, IN or OUT
     deg = [0] * n
-    remaining = [half] * n  # undecided sets containing each element
     included: list[int] = []
+    # bitsets over masks: the undecided and the excluded sets, and the
+    # blocked ones, which some included t closes off (t|m is excluded);
+    # a blocked set stays blocked below, so bounds count only `avail`
+    undec = (1 << size) - 1
+    outbits = blocked = 0
+    saved: list[int] = []  # `blocked` before each inclusion
     best: Optional[int] = None
     best_masks: Optional[tuple[int, ...]] = None
     aborted = False
@@ -171,24 +189,26 @@ def _search(
             if deadline is not None and not nodes & 1023 and monotonic() > deadline:
                 aborted = True
                 break
-            suffix = size - depth
+            avail = undec & ~blocked
+            n_avail = avail.bit_count()
             need = goal - len(included)
-            if need > suffix and not maximize:  # before the scan, unlike `k < need`
+            if need > n_avail and not maximize:  # before the scan, unlike `k < need`
                 visit = False
                 continue
             caps_left = 0
-            limit = suffix
+            limit = n_avail
             # symmetry reduction: explore only families whose final
             # frequencies can still be non-increasing in the label (a
-            # relabeling always exists).  reach = min(deg[i-1] +
-            # remaining[i-1], cap) bounds deg[i] for both that and the cap.
+            # relabeling always exists).  reach = min(deg[i-1] + r, cap),
+            # r the available sets with i-1, bounds deg[i] for both that
+            # and the cap.
             reach = cap
             for i in range(n):
                 d = deg[i]
                 if reach < d:
                     visit = False
                     break
-                r = remaining[i]
+                r = (avail & with_elem[i]).bit_count()
                 room = cap - d
                 if room < r:
                     caps_left += room
@@ -196,22 +216,27 @@ def _search(
                 else:
                     caps_left += r
                     reach = d + r
-                avoid = room + suffix - r
+                avoid = room + n_avail - r
                 if avoid < limit:
                     limit = avoid
             if not visit:
                 props += 1
                 continue
-            # capacity bound: the cheapest undecided sets that still fit
-            k = bisect_right(tail, caps_left) - 1
+            # capacity bound: the cheapest available sets that still fit
+            k = 0
+            for j, sets in enumerate(of_card):
+                c = (avail & sets).bit_count()
+                if c * j > caps_left:
+                    k += caps_left // j
+                    break
+                k += c
+                caps_left -= c * j
             if k > limit:
                 k = limit
-            if k > suffix:
-                k = suffix
             if k < need:
                 visit = False
                 continue
-            if suffix == 0 if maximize else need == 0:
+            if depth == size if maximize else need == 0:
                 visit = False
                 if maximize:
                     best = len(included)
@@ -233,6 +258,7 @@ def _search(
                 break
             depth -= 1
             mask = order[depth]
+            undec |= 1 << mask
             if state[mask] == IN:
                 if twin:
                     for e in grows[mask]:
@@ -240,8 +266,8 @@ def _search(
                             sat[e] -= 1
                 for e in elems[mask]:
                     deg[e] -= 1
-                    remaining[e] += 1
                 included.pop()
+                blocked = saved.pop()
                 include = False
             else:
                 if twin:
@@ -250,33 +276,30 @@ def _search(
                     for e in grows[mask]:
                         if state[mask | 1 << e] == IN:
                             alive[e] += 1
-                for e in elems[mask]:
-                    remaining[e] += 1
+                outbits ^= 1 << mask
                 include = True
             state[mask] = 0
             if include == maximize or depth < forced:
                 continue  # both children tried, or the only one
             second = False
         if include:
-            ok = True
-            for e in elems[mask]:
-                if deg[e] >= cap:
-                    ok = False
-                    break
-            else:
-                # decision order makes every union of two included sets
-                # already decided, so closure is checked against `included`
-                for t in included:
-                    v = t | mask
-                    if v != t and v != mask and state[v] != IN:
+            # decision order makes every union of mask with an included set
+            # already decided, so closure holds unless mask is blocked
+            ok = not blocked >> mask & 1
+            if ok:
+                for e in elems[mask]:
+                    if deg[e] >= cap:
                         ok = False
                         break
             if ok:
                 state[mask] = IN
                 included.append(mask)
+                saved.append(blocked)
+                if outbits:
+                    blocked = _block(blocked, outbits, mask, full)
+                undec ^= 1 << mask
                 for e in elems[mask]:
                     deg[e] += 1
-                    remaining[e] -= 1
                 if twin:
                     for e in grows[mask]:
                         if state[mask | 1 << e] == IN:
@@ -289,8 +312,8 @@ def _search(
                 visit = False
                 continue
         state[mask] = OUT
-        for e in elems[mask]:
-            remaining[e] -= 1
+        undec ^= 1 << mask
+        outbits |= 1 << mask
         depth += 1
         visit = True
         if twin:
@@ -315,6 +338,33 @@ def _search(
         if not maximize:
             witness = sort_by_frequency(witness)
     return _outcome(aborted, best, witness, stats)
+
+
+def _subsets(t: int) -> int:
+    """Bitset over masks of the subsets of t: bit s is set iff s is in t."""
+    bits = 1
+    while t:
+        low = t & -t
+        bits |= bits << low
+        t ^= low
+    return bits
+
+
+def _block(blocked: int, outbits: int, t: int, full: int) -> int:
+    """``blocked`` after including t: plus every m whose union with t is
+    an excluded set u, that is the subsets of t shifted by u - t.
+
+    In the search's decision order every excluded set is decided before
+    t, so no later exclusion blocks a set through t.
+    """
+    hits = outbits & _subsets(full ^ t) << t  # the excluded supersets of t
+    if hits:
+        below = _subsets(t)
+        while hits:
+            low = hits & -hits
+            blocked |= below << ((low.bit_length() - 1) ^ t)
+            hits ^= low
+    return blocked
 
 
 def _outcome(
