@@ -118,7 +118,7 @@ def _search(
     maximize = inst.kind.maximize
     twin = inst.kind.twin
     order = sorted(range(size), key=lambda s: (-s.bit_count(), -s))
-    # tail[k]: total cardinality of the k cheapest (last) sets
+    # tail[k]: total cardinality of the k cheapest (last) sets, for `target`
     tail = [0] * (size + 1)
     for k in range(1, size + 1):
         tail[k] = tail[k - 1] + order[size - k].bit_count()
@@ -130,13 +130,11 @@ def _search(
     of_card = [1]
     for e in range(n):
         of_card = [a | b << (1 << e) for a, b in zip(of_card + [0], [0] + of_card)]
-    IN, OUT = 1, 2
-    state = bytearray(size)  # per mask: 0 undecided, IN or OUT
     deg = [0] * n
     included: list[int] = []
-    # bitsets over masks: the undecided and the excluded sets, and the
-    # blocked ones, which some included t closes off (t|m is excluded);
-    # a blocked set stays blocked below, so bounds count only `avail`
+    # bitsets over masks: the undecided and the excluded sets (a decided
+    # set not excluded is in), and the blocked ones, which some included t
+    # closes off (t|m is excluded); a blocked set stays blocked below
     undec = (1 << size) - 1
     outbits = blocked = 0
     saved: list[int] = []  # `blocked` before each inclusion
@@ -259,10 +257,10 @@ def _search(
             depth -= 1
             mask = order[depth]
             undec |= 1 << mask
-            if state[mask] == IN:
+            if not outbits >> mask & 1:
                 if twin:
                     for e in grows[mask]:
-                        if state[mask | 1 << e] == IN:
+                        if not outbits >> (mask | 1 << e) & 1:
                             sat[e] -= 1
                 for e in elems[mask]:
                     deg[e] -= 1
@@ -274,11 +272,10 @@ def _search(
                     for e in shrinks[mask]:
                         alive[e] += 1
                     for e in grows[mask]:
-                        if state[mask | 1 << e] == IN:
+                        if not outbits >> (mask | 1 << e) & 1:
                             alive[e] += 1
                 outbits ^= 1 << mask
                 include = True
-            state[mask] = 0
             if include == maximize or depth < forced:
                 continue  # both children tried, or the only one
             second = False
@@ -292,7 +289,6 @@ def _search(
                         ok = False
                         break
             if ok:
-                state[mask] = IN
                 included.append(mask)
                 saved.append(blocked)
                 if outbits:
@@ -302,7 +298,7 @@ def _search(
                     deg[e] += 1
                 if twin:
                     for e in grows[mask]:
-                        if state[mask | 1 << e] == IN:
+                        if not outbits >> (mask | 1 << e) & 1:
                             sat[e] += 1
                 depth += 1
                 visit = True
@@ -311,7 +307,6 @@ def _search(
             if not second:
                 visit = False
                 continue
-        state[mask] = OUT
         undec ^= 1 << mask
         outbits |= 1 << mask
         depth += 1
@@ -324,7 +319,7 @@ def _search(
                 if not alive[e]:
                     visit = False  # e lost its last completable twin pair
             for e in grows[mask]:
-                if state[mask | 1 << e] == IN:
+                if not outbits >> (mask | 1 << e) & 1:
                     alive[e] -= 1
                     if not alive[e]:
                         visit = False
@@ -341,7 +336,7 @@ def _search(
 
 
 def _subsets(t: int) -> int:
-    """Bitset over masks of the subsets of t: bit s is set iff s is in t."""
+    """Bitset over masks of the subsets of t: bit s is set iff s & t == s."""
     bits = 1
     while t:
         low = t & -t
@@ -354,8 +349,8 @@ def _block(blocked: int, outbits: int, t: int, full: int) -> int:
     """``blocked`` after including t: plus every m whose union with t is
     an excluded set u, that is the subsets of t shifted by u - t.
 
-    In the search's decision order every excluded set is decided before
-    t, so no later exclusion blocks a set through t.
+    The search decides every proper superset of t before t, so these are
+    all the sets that t ever blocks.
     """
     hits = outbits & _subsets(full ^ t) << t  # the excluded supersets of t
     if hits:
