@@ -6,11 +6,11 @@ then descending bit pattern), so the union of two distinct
 earlier-decided sets is itself already decided, and the leaves reached
 are exactly the union-closed families.  A set m is *blocked* once some
 included t has t|m excluded: m can then never join the family below that
-node.  Only an inclusion blocks new sets (every included set is decided
-before its proper subsets), so the search keeps the blocked sets as one
-bitset, grown on inclusion and restored on undo, and including m needs
-only the test that m is not blocked.  The bounds count only *available*
-sets, undecided and not blocked.  Pruning:
+node.  Only an inclusion blocks new sets (every set is decided before its
+proper subsets), so the search keeps the blocked sets as one bitset,
+grown on inclusion and restored on undo, and including m needs only the
+test that m is not blocked.  The bounds count only *available* sets,
+undecided and not blocked.  Pruning:
 
   - per-element inclusion counters against the degree cap (F/FT) or the
     incumbent (G/GT);

@@ -337,16 +337,15 @@ class TestBudget:
 
 if __name__ == "__main__":
     # only the counts may be refreshed: a changed answer is a bug to fix
-    old = {
-        tuple(line.split()[:3]): split_fingerprint(line)[0]
-        for line in GOLDEN_COUNTS.read_text().splitlines()
-    }
+    # (a cell new to the file has no answer to keep)
+    answers = [split_fingerprint(line)[0] for line in GOLDEN_COUNTS.read_text().splitlines()]
+    old = {tuple(answer[:3]): answer for answer in answers}
     lines = [search_fingerprint(*cell) for cell in pinned_cells()]
-    changed = [
-        line for line in lines
-        if old.get(tuple(line.split()[:3]), split_fingerprint(line)[0])
-        != split_fingerprint(line)[0]
-    ]
+    changed = []
+    for line in lines:
+        answer = split_fingerprint(line)[0]
+        if old.get(tuple(answer[:3]), answer) != answer:
+            changed.append(line)
     if changed:
         sys.exit("answer columns differ, golden file not written:\n" + "\n".join(changed[:5]))
     GOLDEN_COUNTS.write_text("".join(line + "\n" for line in lines))
