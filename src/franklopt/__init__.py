@@ -55,7 +55,6 @@ from .verify import (
     check_stability,
     compare_to_reference,
     compute_grid,
-    twin_census,
 )
 
 __version__ = "0.1.0"

@@ -88,11 +88,16 @@ def _budget(args) -> SearchBudget:
 def _add_budget_flags(parser) -> None:
     parser.add_argument("--budget-nodes", type=int, default=None, metavar="N")
     parser.add_argument("--budget-seconds", type=float, default=None, metavar="S")
+
+
+def _add_threads_flag(parser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
         default=1,
-        help="worker count; 1 is the deterministic mode",
+        metavar="K",
+        help="worker processes that solve grid cells side by side; every "
+        "worker count gives the same table when no budget is set",
     )
 
 
@@ -102,7 +107,7 @@ def _cache_path(args):
 
 def cmd_solve(args) -> int:
     inst = ModelInstance(ModelKind.parse(args.model), args.n, args.param)
-    outcome = solve(inst, _budget(args), workers=args.threads)
+    outcome = solve(inst, _budget(args))
     if outcome.status is Status.OPTIMAL:
         print(f"value={outcome.value}")
         if args.witness:
@@ -251,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "markdown"], default="tsv")
     p.add_argument("--skip-trivial", action="store_true")
     _add_budget_flags(p)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="run the grid checkers")
@@ -265,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache", metavar="PATH")
     _add_budget_flags(p)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-lp", help="write one instance in LP text format")

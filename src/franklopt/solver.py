@@ -32,16 +32,8 @@ still reach, the leaf, the root bound at which the search stops early,
 and the child order (include first when maximizing, exclude first when
 minimizing).
 
-Single-worker runs are fully deterministic, including the witness.  With
-several workers the top of the decision tree is split into subtrees, each
-the same loop with its first decisions forced, solved independently and
-combined in prefix order, so unbudgeted runs are deterministic too.  A
-budget bounds the whole solve: the subtrees share one deadline and split
-the node budget between them.  Status and optimal value do not depend on
-the worker count for solves that finish within their budget; under a node
-budget a split solve can abort where one worker finishes, because each
-subtree gets a fixed share and one that ends early does not pass its
-unused share on.
+Each solve is one run of that loop in one process, so runs are fully
+deterministic, including the witness and the node count.
 
 ``exhaustive_oracle`` answers the same questions for n <= 4 by filtering
 every subset of the power set through the family-core predicates.  It
@@ -80,6 +72,18 @@ UNLIMITED = SearchBudget()
 
 @dataclass
 class SearchStats:
+    """Cost of one solve.
+
+    ``nodes`` counts the search-tree nodes visited, the root included;
+    the node budget is checked against it.  ``propagations`` counts three
+    prunes only: a node cut by the per-element scan (degree cap or
+    symmetry), an inclusion refused because the set is blocked or would
+    break the degree cap, and an exclusion that leaves some element with
+    no live twin pair.  It does not count nodes cut by the set-count test
+    or the capacity bound, nor leaves the twin cover rejects.  ``seconds``
+    is the wall time of the search, tables included.
+    """
+
     nodes: int = 0
     propagations: int = 0
     seconds: float = 0.0
@@ -102,15 +106,11 @@ class SolveOutcome:
     incumbent_witness: Optional[Family] = None
 
 
-def _search(
-    inst: ModelInstance,
-    max_nodes: Optional[int],
-    deadline: Optional[float],
-    prefix: tuple[int, ...] = (),
-) -> SolveOutcome:
-    """One branch-and-bound run; below depth len(prefix) the node at depth
-    d tries only the child prefix[d] (1 = include, 0 = exclude)."""
+def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
+    """One branch-and-bound run over the whole decision tree."""
     started = time.monotonic()
+    max_nodes = budget.max_nodes
+    deadline = None if budget.max_seconds is None else started + budget.max_seconds
     n = inst.n
     size = 1 << n
     half = size >> 1
@@ -156,8 +156,7 @@ def _search(
 
     # What the objective decides: the degree cap `cap`, the set count
     # `goal` a branch must still be able to reach, the leaf, and the root
-    # bound `target` whose attainment ends the search (for a subtree too:
-    # it is the whole problem's bound).
+    # bound `target` whose attainment ends the search.
     if maximize:
         cap = param
         goal = 1  # incumbent + 1, with no incumbent counted as 0
@@ -171,7 +170,6 @@ def _search(
             half,
         )
 
-    forced = len(prefix)
     monotonic = time.monotonic
     nodes = props = 0
     depth = 0
@@ -249,8 +247,8 @@ def _search(
                     break
                 continue
             mask = order[depth]
-            include = prefix[depth] if depth < forced else maximize
-            second = depth >= forced  # an untried child remains
+            include = maximize
+            second = True  # an untried child remains
         else:
             if depth == 0:
                 break
@@ -276,8 +274,8 @@ def _search(
                             alive[e] += 1
                 outbits ^= 1 << mask
                 include = True
-            if include == maximize or depth < forced:
-                continue  # both children tried, or the only one
+            if include == maximize:
+                continue  # both children tried
             second = False
         if include:
             # decision order makes every union of mask with an included set
@@ -332,7 +330,14 @@ def _search(
         witness = Family(n, best_masks)
         if not maximize:
             witness = sort_by_frequency(witness)
-    return _outcome(aborted, best, witness, stats)
+    # an aborted search reports its best family only as an incumbent
+    if aborted:
+        return SolveOutcome(
+            Status.ABORTED, stats=stats, incumbent_value=best, incumbent_witness=witness
+        )
+    if witness is None:
+        return SolveOutcome(Status.INFEASIBLE, stats=stats)
+    return SolveOutcome(Status.OPTIMAL, best, witness, stats)
 
 
 def _subsets(t: int) -> int:
@@ -362,79 +367,19 @@ def _block(blocked: int, outbits: int, t: int, full: int) -> int:
     return blocked
 
 
-def _outcome(
-    aborted: bool, value: Optional[int], witness: Optional[Family], stats: SearchStats
-) -> SolveOutcome:
-    """An aborted search reports its best family only as an incumbent."""
-    if aborted:
-        return SolveOutcome(
-            Status.ABORTED, stats=stats, incumbent_value=value, incumbent_witness=witness
-        )
-    if witness is None:
-        return SolveOutcome(Status.INFEASIBLE, stats=stats)
-    return SolveOutcome(Status.OPTIMAL, value, witness, stats)
-
-
-def _solve_parallel(inst: ModelInstance, budget: SearchBudget, workers: int) -> SolveOutcome:
-    import multiprocessing
-
-    # split deep enough that no single subtree dominates a worker; dead
-    # prefixes (inconsistent or symmetry-pruned) return immediately
-    split_depth = min(max(workers.bit_length() + 4, 6), 1 << inst.n)
-    prefixes = [
-        tuple(bits >> i & 1 for i in range(split_depth))
-        for bits in range(1 << split_depth)
-    ]
-    # the budget bounds the whole solve: one deadline shared by every
-    # subtree, and the node budget split across them (a subtree overshoots
-    # its share by at most the one node that trips it)
-    deadline = _deadline(budget)
-    jobs = []
-    for i, prefix in enumerate(prefixes):
-        share = None
-        if budget.max_nodes is not None:
-            share = budget.max_nodes // len(prefixes) + (i < budget.max_nodes % len(prefixes))
-        jobs.append((inst, share, deadline, prefix))
-    with multiprocessing.Pool(workers) as pool:
-        results = pool.starmap(_search, jobs, chunksize=1)  # in prefix order
-
-    stats = SearchStats()
-    for out in results:
-        stats.nodes += out.stats.nodes
-        stats.propagations += out.stats.propagations
-        stats.seconds = max(stats.seconds, out.stats.seconds)
-    # every subtree's best family; the first best in prefix order wins
-    found = [
-        (out.value, out.witness) if out.value is not None
-        else (out.incumbent_value, out.incumbent_witness)
-        for out in results
-    ]
-    better = max if inst.kind.maximize else min
-    value, witness = better(
-        (f for f in found if f[0] is not None), key=lambda f: f[0], default=(None, None)
-    )
-    aborted = any(out.status is Status.ABORTED for out in results)
-    return _outcome(aborted, value, witness, stats)
-
-
-def _deadline(budget: SearchBudget) -> Optional[float]:
-    if budget.max_seconds is None:
-        return None
-    return time.monotonic() + budget.max_seconds
-
-
 def solve(
     inst: ModelInstance, budget: SearchBudget = UNLIMITED, workers: int = 1
 ) -> SolveOutcome:
     """Exact optimum of an instance, or Infeasible, or Aborted on budget.
 
-    workers=1 (the default) is the deterministic mode: repeated runs
-    return identical outcomes including the witness.  The budget bounds
-    the whole solve, whatever the worker count.
+    One deterministic search in the calling process: repeated runs return
+    identical outcomes, witness and node count included.  ``workers`` must
+    be 1; grids fan whole cells out to processes instead
+    (``verify.compute_grid``).
     """
-    if workers <= 1:
-        return _search(inst, budget.max_nodes, _deadline(budget))
-    return _solve_parallel(inst, budget, workers)
+    if workers != 1:
+        raise ValueError(f"solve runs one search in one process; workers must be 1, got {workers}")
+    return _search(inst, budget)
 
 
 # -- exhaustive oracle --------------------------------------------------------

@@ -16,9 +16,10 @@ The results cache is a line-oriented text file, one record per line:
 
 appended in deterministic order; on reload the last writer wins.
 
-Grid cells are independent and may fan out to worker processes; all
-cache appends happen in the coordinating process, and checkers are pure
-functions over an immutable snapshot of a table.
+Grid cells are independent and may fan out to worker processes, one
+whole cell per task; all cache appends happen in the coordinating
+process, and checkers are pure functions over an immutable snapshot of a
+table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import reference
-from .families import Family, twin_counts
+from .families import Family
 from .models import ModelInstance, ModelKind, check_feasible, objective_value
 from .solver import UNLIMITED, SearchBudget, SolveOutcome, Status, solve
 
@@ -112,9 +113,9 @@ def append_cache(path, records: dict[Cell, TableEntry]) -> None:
 
 
 def _solve_cell(args) -> tuple[Cell, SolveOutcome]:
-    kind, n, param, budget, workers = args
+    kind, n, param, budget = args
     inst = ModelInstance(ModelKind(kind), n, param)
-    return (kind, n, param), solve(inst, budget, workers=workers)
+    return (kind, n, param), solve(inst, budget)
 
 
 def compute_grid(
@@ -131,6 +132,12 @@ def compute_grid(
     Cached cells are reused.  With skip_trivial, F cells in the forced
     regime a >= 2^(n-1) are filled analytically as 2^n and tagged.
     Budget-aborted cells are left missing and reported in warnings.
+
+    With workers > 1 and more than one cell to solve, the cells are
+    solved side by side in a pool of that many processes, each cell one
+    serial search under the full budget; otherwise they are solved in
+    this process.  Every worker count gives the same table when no budget
+    is set.
     """
     table = ValueTable()
     cached = load_cache(cache_path) if cache_path else ValueTable()
@@ -153,9 +160,9 @@ def compute_grid(
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_solve_cell, [job + (1,) for job in todo])
+            results = pool.map(_solve_cell, todo)
     else:
-        results = [_solve_cell(job + (workers,)) for job in todo]
+        results = [_solve_cell(job) for job in todo]
 
     for cell, outcome in results:
         if outcome.status is Status.ABORTED:
@@ -479,64 +486,3 @@ def check_falgas_ravry(table: ValueTable) -> CheckReport:
         else:
             report.add(name, PASS)
     return report
-
-
-# -- twin census ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwinCensus:
-    """Per-element twin statistics of a witness family, under both
-    counting conventions (trivial pair excluded / included)."""
-
-    inst: ModelInstance
-    nontrivial_counts: tuple[int, ...]
-    total_counts: tuple[int, ...]
-    min_nontrivial: int
-    min_total: int
-    pair_bound: Optional[int]  # 2(a - n + 1) for the degree-capped kinds
-    bound_verdict_nontrivial: str
-    bound_verdict_total: str
-    two_twin_note: str
-
-    def render(self) -> str:
-        lines = [
-            f"twin census for {self.inst}:",
-            "  nontrivial per element: "
-            + " ".join(
-                f"e{e}={c}" for e, c in enumerate(self.nontrivial_counts, start=1)
-            ),
-            "  total per element:      "
-            + " ".join(f"e{e}={c}" for e, c in enumerate(self.total_counts, start=1)),
-            f"  min nontrivial={self.min_nontrivial} min total={self.min_total}",
-        ]
-        if self.pair_bound is not None:
-            lines.append(
-                f"  pair bound 2(a-n+1)={self.pair_bound}: "
-                f"nontrivial convention {self.bound_verdict_nontrivial}, "
-                f"total convention {self.bound_verdict_total}"
-            )
-        lines.append(f"  two-twin consequence: {self.two_twin_note}")
-        return "\n".join(lines)
-
-
-def twin_census(inst: ModelInstance, witness: Family) -> TwinCensus:
-    """Twin statistics of an optimal witness (usable diagnostically on
-    any family)."""
-    nontrivial, total = twin_counts(witness)
-    min_nt, min_tot = min(nontrivial), min(total)
-    bound = None
-    verdict_nt = verdict_tot = VACUOUS
-    if inst.kind.maximize:
-        bound = 2 * (inst.param - inst.n + 1)
-        if min_nt >= 1:
-            verdict_nt = PASS if min_nt <= bound else FAIL
-        if min_tot >= 1:
-            verdict_tot = PASS if min_tot <= bound else FAIL
-    note = (
-        "vacuous: applies only when f(n,a) < f(n+1,a), which no computed "
-        "grid exhibits (min twin counts reported above)"
-    )
-    return TwinCensus(
-        inst, nontrivial, total, min_nt, min_tot, bound, verdict_nt, verdict_tot, note
-    )

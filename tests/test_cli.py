@@ -54,8 +54,12 @@ class TestSolve:
             ["grid", "--model", "f", "--n", "3..x", "--param", "1..2"],
             ["verify", "--grid-spec", "f:1..2"],
             ["verify", "--checks", "bogus", "--grid-spec", "f:1..2:1..2"],
+            ["solve", "--model", "f", "--n", "3", "--param", "3", "--threads", "2"],
         ],
-        ids=["model", "n0", "n17", "param0", "grid-range", "grid-spec", "checks"],
+        ids=[
+            "model", "n0", "n17", "param0", "grid-range", "grid-spec", "checks",
+            "solve-threads",
+        ],
     )
     def test_usage_error_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
