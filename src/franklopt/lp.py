@@ -120,94 +120,95 @@ class ParsedLp:
     binaries: tuple[str, ...]
 
 
-_NAME_RE = re.compile(r"^[A-Za-z]\w*:$")
-_VAR_RE = re.compile(r"^[xz]_\w+$")
+# One term is [coef] var; every term but the first follows a + or - sign.
+_TERM = r"(?:\d+\s+)?[xz]_\w+"
+_TERMS = rf"(?:(?:[+-]\s+)?{_TERM}(?:\s+[+-]\s+{_TERM})*)?"
+_ROW_START_RE = re.compile(r"[A-Za-z]\w*:")
+_ROW_RE = re.compile(rf"([A-Za-z]\w*):\s*({_TERMS})\s*(<=|>=|=)\s*(-?\d+)")
+_OBJECTIVE_RE = re.compile(rf"([A-Za-z]\w*):\s*({_TERMS})")
+_TERM_RE = re.compile(rf"[+-]?\s*{_TERM}")
+_SECTIONS = {
+    "Maximize": "objective",
+    "Minimize": "objective",
+    "Subject To": "rows",
+    "Bounds": "bounds",
+    "Binary": "binary",
+}
 
 
-def _parse_terms(tokens: list[str]):
-    """Token list -> (terms, sense, rhs); rhs absent for the objective."""
-    terms = []
-    sign = 1
-    coef = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("<=", ">=", "="):
-            rhs = int(tokens[i + 1])
-            return tuple(terms), tok, rhs
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        elif _VAR_RE.match(tok):
-            terms.append((sign * (coef if coef is not None else 1), tok))
-            sign, coef = 1, None
-        else:
-            coef = int(tok)
-        i += 1
-    return tuple(terms), None, None
+class _Terms(dict):
+    """Term text ("x_3", "- x_5", "+ 2 z_1_e1") -> (coefficient, var).
+
+    One instance per document, so equal terms are one shared object.
+    """
+
+    def __missing__(self, text):
+        *head, var = text.split()
+        coef = int(head[-1]) if head and head[-1].isdigit() else 1
+        term = self[text] = (-coef if head and head[0] == "-" else coef, var)
+        return term
+
+    def of(self, body: str) -> tuple[tuple[int, str], ...]:
+        """The terms of a body that matched ``_TERMS``."""
+        return tuple(map(self.__getitem__, _TERM_RE.findall(body)))
 
 
 def parse_lp(text: str) -> ParsedLp:
+    """Read a document in this dialect; anything else raises ValueError."""
     section = None
     maximize = None
-    objective_tokens: list[str] = []
-    row_tokens: list[list[str]] = []
+    objective_lines: list[str] = []
+    row_lines: list[str] = []
     bounded: list[str] = []
     binaries: list[str] = []
 
     for raw in text.splitlines():
-        line = raw.rstrip()
-        if not line or line.lstrip().startswith("\\"):
+        line = raw.strip()
+        if not line or line[0] == "\\":
             continue
-        stripped = line.strip()
-        if stripped in ("Maximize", "Minimize"):
-            section = "objective"
-            maximize = stripped == "Maximize"
+        if line in _SECTIONS:
+            section = _SECTIONS[line]
+            if section == "objective":
+                maximize = line == "Maximize"
             continue
-        if stripped == "Subject To":
-            section = "rows"
-            continue
-        if stripped == "Bounds":
-            section = "bounds"
-            continue
-        if stripped == "Binary":
-            section = "binary"
-            continue
-        if stripped == "End":
+        if line == "End":
             break
-        tokens = stripped.split()
         if section == "objective":
-            objective_tokens.extend(tokens)
+            objective_lines.append(line)
         elif section == "rows":
-            if _NAME_RE.match(tokens[0]):
-                row_tokens.append(tokens)
+            if _ROW_START_RE.match(line):
+                row_lines.append(line)
+            elif row_lines:
+                row_lines[-1] += " " + line  # continuation line
             else:
-                row_tokens[-1].extend(tokens)  # continuation line
+                raise ValueError(f"continuation line before any row: {line}")
         elif section == "bounds":
+            tokens = line.split()
             if len(tokens) != 5 or tokens[0] != "0" or tokens[4] != "1":
-                raise ValueError(f"unsupported bounds line: {stripped}")
+                raise ValueError(f"unsupported bounds line: {line}")
             bounded.append(tokens[2])
         elif section == "binary":
-            binaries.extend(tokens)
+            binaries.extend(line.split())
         else:
-            raise ValueError(f"line outside any section: {stripped}")
+            raise ValueError(f"line outside any section: {line}")
 
     if maximize is None:
         raise ValueError("missing objective section")
-    if objective_tokens and not _NAME_RE.match(objective_tokens[0]):
-        raise ValueError("objective must be named")
-    obj_terms, sense, _ = _parse_terms(objective_tokens[1:])
-    if sense is not None:
-        raise ValueError("objective must not carry a relation")
+    terms = _Terms()
+    obj_terms: tuple[tuple[int, str], ...] = ()
+    if objective_lines:
+        match = _OBJECTIVE_RE.fullmatch(" ".join(objective_lines))
+        if match is None:
+            raise ValueError("objective must be named and hold terms only")
+        obj_terms = terms.of(match[2])
 
     rows = []
-    for tokens in row_tokens:
-        name = tokens[0][:-1]
-        terms, sense, rhs = _parse_terms(tokens[1:])
-        if sense is None:
-            raise ValueError(f"row {name} has no relation")
-        rows.append(Constraint(name, terms, sense, rhs))
+    for line in row_lines:
+        match = _ROW_RE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"malformed row: {line}")
+        name, body, sense, rhs = match.groups()
+        rows.append(Constraint(name, terms.of(body), sense, int(rhs)))
 
     return ParsedLp(maximize, obj_terms, tuple(rows), tuple(bounded), tuple(binaries))
 

@@ -12,6 +12,13 @@ writer.  The witness check here reads the family itself, condition by
 condition, and the exact search in ``solver`` works on the problems
 directly; tests hold the rows to the same conditions.
 
+The union rows and the twin rows depend on n alone.  Each block is
+built once per n and shared by every system of that size, whatever its
+kind or parameter, down to one string object per variable name.
+Sharing is safe because every row is a frozen Constraint whose terms
+are tuples, so no system can change a row another one holds.  Only the
+deg, ord and card rows and the objective are made per build.
+
 Variable naming: ``x_<d>`` is the 0/1 indicator of the subset whose bit
 pattern has decimal value d; ``z_<d>_e<k>`` is the twin link variable for
 little twin d and element k.  Constraint rows are named u<i> (union),
@@ -22,6 +29,7 @@ canonical order, and every build is byte-deterministic.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .families import Family, MAX_GROUND_SET, frequencies, is_union_closed, twin_counts
@@ -108,9 +116,21 @@ class ConstraintSystem:
         return [c for c in self.constraints if c.name.startswith(prefix)]
 
 
-def _union_rows(n: int) -> list[Constraint]:
+@functools.cache
+def _x_terms(n: int) -> tuple[tuple[tuple[int, str], ...], tuple[tuple[int, str], ...]]:
+    """The (1, x_<m>) and (-1, x_<m>) terms of every mask, indexed by mask.
+
+    Every row of an n-element system takes its x terms from these two
+    tuples, so all rows share one string object per variable name.
+    """
+    names = [var_x(m) for m in range(1 << n)]
+    return tuple((1, v) for v in names), tuple((-1, v) for v in names)
+
+
+@functools.cache
+def _union_rows(n: int) -> tuple[Constraint, ...]:
+    plus, minus = _x_terms(n)
     rows = []
-    idx = 0
     for s in range(1 << n):
         if s.bit_count() < 2:
             continue
@@ -129,91 +149,79 @@ def _union_rows(n: int) -> list[Constraint]:
                 w = (w - 1) & t
             t = (t - 1) & s
         for t, u in sorted(pairs):
-            idx += 1
             rows.append(
-                Constraint(
-                    f"u{idx}",
-                    ((1, var_x(t)), (1, var_x(u)), (-1, var_x(s))),
-                    "<=",
-                    1,
-                )
+                Constraint(f"u{len(rows) + 1}", (plus[t], plus[u], minus[s]), "<=", 1)
             )
-    return rows
+    return tuple(rows)
 
 
-def _twin_vars(n: int) -> list[tuple[int, int]]:
-    """(little, e) pairs in canonical order: e ascending, little ascending."""
-    out = []
+@functools.cache
+def _twin_rows(n: int) -> tuple[tuple[Constraint, ...], tuple[str, ...]]:
+    """The twin link rows tl<i> and cover rows tc<e>, and the z names.
+
+    z variables come in canonical order: e ascending, little ascending.
+    """
+    _, minus = _x_terms(n)
+    zvars = [
+        (little, e)
+        for e in range(1, n + 1)
+        for little in range(1 << n)
+        if not little & (1 << (e - 1))
+    ]
+    z_terms = {key: (1, var_z(*key)) for key in zvars}
+    rows = []
+    for little, e in zvars:
+        big = little | (1 << (e - 1))
+        for member in (little, big):
+            rows.append(
+                Constraint(f"tl{len(rows) + 1}", (z_terms[little, e], minus[member]), "<=", 0)
+            )
     for e in range(1, n + 1):
         bit = 1 << (e - 1)
-        for little in range(1 << n):
-            if not little & bit:
-                out.append((little, e))
-    return out
+        # trivial little twins (size n-1) are left out of the cover sums
+        terms = tuple(
+            z_terms[m, e] for m in range(1 << n) if not m & bit and m.bit_count() != n - 1
+        )
+        rows.append(Constraint(f"tc{e}", terms, ">=", 1))
+    return tuple(rows), tuple(z for _, z in z_terms.values())
 
 
 def build(inst: ModelInstance) -> ConstraintSystem:
-    """Emit the complete, duplicate-free constraint system for an instance."""
+    """Emit the complete, duplicate-free constraint system for an instance.
+
+    The union and twin blocks come from the per-n caches; only the deg,
+    ord and card rows and the objective are made per call.
+    """
     n = inst.n
     kind = inst.kind
     all_masks = range(1 << n)
+    plus, minus = _x_terms(n)
 
-    constraints = list(_union_rows(n))
-
+    param_rows = []
     if kind.maximize:
         for e in range(1, n + 1):
             bit = 1 << (e - 1)
-            terms = tuple((1, var_x(m)) for m in all_masks if m & bit)
-            constraints.append(Constraint(f"deg{e}", terms, "<=", inst.param))
+            terms = tuple(plus[m] for m in all_masks if m & bit)
+            param_rows.append(Constraint(f"deg{e}", terms, "<=", inst.param))
+        objective = plus
     else:
         for i in range(1, n):
             bit_i = 1 << (i - 1)
             bit_j = 1 << i
             # shared masks (containing both i and i+1) cancel
-            pos = tuple((1, var_x(m)) for m in all_masks if m & bit_i and not m & bit_j)
-            neg = tuple((-1, var_x(m)) for m in all_masks if m & bit_j and not m & bit_i)
-            constraints.append(Constraint(f"ord{i}", pos + neg, ">=", 0))
-        constraints.append(
-            Constraint("card", tuple((1, var_x(m)) for m in all_masks), "=", inst.param)
-        )
+            pos = tuple(plus[m] for m in all_masks if m & bit_i and not m & bit_j)
+            neg = tuple(minus[m] for m in all_masks if m & bit_j and not m & bit_i)
+            param_rows.append(Constraint(f"ord{i}", pos + neg, ">=", 0))
+        param_rows.append(Constraint("card", plus, "=", inst.param))
+        objective = plus[1::2]  # the masks that contain element 1
 
-    unit_interval: tuple[str, ...] = ()
-    if kind.twin:
-        zvars = _twin_vars(n)
-        unit_interval = tuple(var_z(little, e) for little, e in zvars)
-        idx = 0
-        for little, e in zvars:
-            big = little | (1 << (e - 1))
-            for member in (little, big):
-                idx += 1
-                constraints.append(
-                    Constraint(
-                        f"tl{idx}",
-                        ((1, var_z(little, e)), (-1, var_x(member))),
-                        "<=",
-                        0,
-                    )
-                )
-        for e in range(1, n + 1):
-            bit = 1 << (e - 1)
-            terms = tuple(
-                (1, var_z(m, e))
-                for m in all_masks
-                if not m & bit and m.bit_count() != n - 1
-            )
-            constraints.append(Constraint(f"tc{e}", terms, ">=", 1))
-
-    if kind.maximize:
-        objective = tuple((1, var_x(m)) for m in all_masks)
-    else:
-        objective = tuple((1, var_x(m)) for m in all_masks if m & 1)
-
+    twin_rows, unit_interval = _twin_rows(n) if kind.twin else ((), ())
     return ConstraintSystem(
         inst=inst,
         maximize=kind.maximize,
         objective=objective,
-        constraints=tuple(constraints),
-        binaries=tuple(var_x(m) for m in all_masks),
+        constraints=(*_union_rows(n), *param_rows, *twin_rows),
+        binaries=tuple(v for _, v in plus),
         unit_interval=unit_interval,
     )
 

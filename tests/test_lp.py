@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -15,6 +16,22 @@ GOLDEN_CASES = [
     (ModelKind.FT, 3, 4, "ft_n3_p4.lp"),
     (ModelKind.GT, 4, 9, "gt_n4_p9.lp"),
 ]
+
+# sha256 of export(build(kind, n, 9)).text, above the golden files' n <= 4
+PINNED_DIGESTS = {
+    (ModelKind.F, 6): "93bb7492e1739c3b3fa33d626542434df2a26cbe7ce1af59066bba3f9b34669a",
+    (ModelKind.G, 6): "f36d9ed235c39bef0dfedf3ed52ba6f7a50ea42f7945378cdd8677cd383a6bb7",
+    (ModelKind.FT, 6): "38298c6d8005e4b60ad7e6d602b850ca3a168b7418045594fa1cd16b5e07a52d",
+    (ModelKind.GT, 6): "26739c2f0334b1648f38ef1d0430438952f1677269839f55870eb054e09cd1ce",
+    (ModelKind.F, 7): "ca4d71486ee85ec70c3f171cde4f3d5b0dc7971063d9d5f513ce2dd1d9d6e112",
+    (ModelKind.G, 7): "15946812e9166ac3bb1c2e32ed29e7d784a382d8e5326991e235c71db93a2066",
+    (ModelKind.FT, 7): "5052677086b86701df8694b2a25ce23ab807c25338fade9dfabf08cd835c1b2d",
+    (ModelKind.GT, 7): "c8a5fc5ba9b6a87a4599bc072231120d4261db3bad31c119cdc031bf78007863",
+    (ModelKind.F, 8): "5cb6fb78aba37d29f00d099de54e416ff76f9bd0ef09f37dc34a3148d16dbb89",
+    (ModelKind.G, 8): "caaa234ee080a3f1e63c0cc6ed04592fecb282de06dc864eb14d1f4187c8c7f1",
+    (ModelKind.FT, 8): "6a53a1cafe918cfd4a858bfb674fae1f18ecef051057e37e5f5ecf7dfd03d336",
+    (ModelKind.GT, 8): "5c9d892a299afe838609e9b1e8cc0b76fe53ca17fec0b06f576fc48d88bd85e4",
+}
 
 N4_PARAMS = {
     ModelKind.F: (3, 5, 8),
@@ -39,6 +56,20 @@ class TestGolden:
     def test_deterministic(self):
         inst = ModelInstance(ModelKind.GT, 4, 9)
         assert export(build(inst)).text == export(build(inst)).text
+
+    def test_pinned_digests_from_warm_blocks(self):
+        # kinds, sizes and params interleaved, with every size's blocks
+        # built first, so each document comes from blocks other builds made
+        for n in (6, 7, 8):
+            build(ModelInstance(ModelKind.GT, n, 20))
+        cases = [(kind, n, param) for kind, n in PINNED_DIGESTS for param in (9, 4, 30)]
+        random.Random(8).shuffle(cases)
+        digests = {}
+        for kind, n, param in cases:
+            system = build(ModelInstance(kind, n, param))
+            if param == 9:
+                digests[kind, n] = hashlib.sha256(export(system).text.encode()).hexdigest()
+        assert digests == PINNED_DIGESTS
 
     def test_write_lp(self, tmp_path):
         inst = ModelInstance(ModelKind.F, 2, 2)
@@ -132,6 +163,20 @@ class TestReader:
                 assert feasible == bool(check_feasible(inst, fam)), (param, fam.sets)
                 verdicts.add(feasible)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "row",
+        ["x_0 + x_1 <= 1 x_1", "x_0 + 3 <= 1", "x_0 x_1 <= 1", "x_0 + x_1 <="],
+        ids=["token-after-rhs", "dangling-coefficient", "missing-operator", "missing-rhs"],
+    )
+    def test_rejects_malformed_row(self, row):
+        with pytest.raises(ValueError, match="malformed row"):
+            parse_lp(f"Maximize\n obj: x_0\nSubject To\n r1: {row}\nBinary\n x_0\n x_1\nEnd\n")
+
+    def test_reads_well_formed_row(self):
+        parsed = parse_lp("Maximize\n obj: x_0\nSubject To\n r1: - x_0 + 3 x_1 >= -2\nEnd\n")
+        assert parsed.rows[0].terms == ((-1, "x_0"), (3, "x_1"))
+        assert (parsed.rows[0].sense, parsed.rows[0].rhs) == (">=", -2)
 
     def test_rejects_foreign_content(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,32 @@ class TestBuild:
         a = build(ModelInstance(ModelKind.GT, 3, 6))
         b = build(ModelInstance(ModelKind.GT, 3, 6))
         assert a == b
+
+    def test_param_free_blocks_shared_across_kinds_and_params(self):
+        f = build(ModelInstance(ModelKind.F, 5, 3))
+        gt = build(ModelInstance(ModelKind.GT, 5, 20))
+        ft = build(ModelInstance(ModelKind.FT, 5, 7))
+        assert len(f.by_prefix("u")) == count_union_pairs(5)
+        assert all(a is b for a, b in zip(f.by_prefix("u"), gt.by_prefix("u"), strict=True))
+        assert all(a is b for a, b in zip(ft.by_prefix("t"), gt.by_prefix("t"), strict=True))
+        assert ft.unit_interval is gt.unit_interval
+        assert all(a is b for a, b in zip(f.binaries, gt.binaries, strict=True))
+        # the per-parameter rows are not shared
+        assert ft.by_prefix("deg")[0].rhs == 7
+        assert f.by_prefix("deg")[0].rhs == 3
+
+    def test_held_systems_share_memory(self):
+        # every n=8 system holds the same 26,335 union rows; held as
+        # separate copies, 16 systems took 235.7 MB
+        build(ModelInstance(ModelKind.GT, 8, 9))
+        tracemalloc.start()
+        try:
+            held = [build(ModelInstance(k, 8, p)) for k in ModelKind for p in (5, 9, 20, 40)]
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 16
+        assert traced < 16 * 2**20
 
     def test_union_rows_characterize_union_closedness_n3(self):
         system = build(ModelInstance(ModelKind.F, 3, 8))
