@@ -162,20 +162,16 @@ def _twin_rows(n: int) -> tuple[tuple[Constraint, ...], tuple[str, ...]]:
     z variables come in canonical order: e ascending, little ascending.
     """
     _, minus = _x_terms(n)
-    zvars = [
-        (little, e)
+    z_terms = {
+        (little, e): (1, var_z(little, e))
         for e in range(1, n + 1)
         for little in range(1 << n)
         if not little & (1 << (e - 1))
-    ]
-    z_terms = {key: (1, var_z(*key)) for key in zvars}
+    }
     rows = []
-    for little, e in zvars:
-        big = little | (1 << (e - 1))
-        for member in (little, big):
-            rows.append(
-                Constraint(f"tl{len(rows) + 1}", (z_terms[little, e], minus[member]), "<=", 0)
-            )
+    for (little, e), z in z_terms.items():
+        for member in (little, little | (1 << (e - 1))):
+            rows.append(Constraint(f"tl{len(rows) + 1}", (z, minus[member]), "<=", 0))
     for e in range(1, n + 1):
         bit = 1 << (e - 1)
         # trivial little twins (size n-1) are left out of the cover sums
