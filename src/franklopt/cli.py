@@ -48,7 +48,14 @@ def _ground_size(text: str) -> int:
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"param must be positive, got {value}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -86,14 +93,14 @@ def _budget(args) -> SearchBudget:
 
 
 def _add_budget_flags(parser) -> None:
-    parser.add_argument("--budget-nodes", type=int, default=None, metavar="N")
-    parser.add_argument("--budget-seconds", type=float, default=None, metavar="S")
+    parser.add_argument("--budget-nodes", type=_positive, default=None, metavar="N")
+    parser.add_argument("--budget-seconds", type=_positive_seconds, default=None, metavar="S")
 
 
 def _add_threads_flag(parser) -> None:
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive,
         default=1,
         metavar="K",
         help="worker processes that solve grid cells side by side; every "

@@ -9,17 +9,27 @@ included t has t|m excluded: m can then never join the family below that
 node.  Only an inclusion blocks new sets (every set is decided before its
 proper subsets), so the search keeps the blocked sets as one bitset,
 grown on inclusion and restored on undo, and including m needs only the
-test that m is not blocked.  The bounds count only *available* sets,
-undecided and not blocked.  Pruning:
+test that m is not blocked.  The bounds count only *available* sets:
+undecided, not blocked, and free of any element already at the degree
+cap.  Pruning:
 
   - per-element inclusion counters against the degree cap (F/FT) or the
     incumbent (G/GT);
-  - an optimistic completion bound combining the per-element capacity
-    left among the available sets with the sizes of the cheapest
-    available sets;
   - a symmetry reduction to families whose final element frequencies can
     still be non-increasing in the label (every family has such a
-    relabeling, and all four objectives are label-invariant);
+    relabeling, and all four objectives are label-invariant): the bound
+    on each element's final frequency is carried down the labels;
+  - a tie-break between adjacent labels: among the sorted relabelings of
+    a family the search keeps the one it reaches first, so once the sets
+    decided so far show that swapping labels i and i+1 would give a
+    family the search reaches earlier, the family must end with
+    deg[i] > deg[i+1] (swapping two tied labels keeps degrees sorted);
+  - an optimistic completion bound combining the per-element capacity
+    left among the available sets with the sizes of the cheapest
+    available sets, over the cardinalities still undecided, with closure
+    counts: k singletons need their k(k-1)/2 pairwise unions, and k pairs
+    at one element their k(k-1)/2 triples at it, in the family or still
+    available, so no more join than those allow;
   - for the twin kinds, a per-element count of non-trivial twin pairs
     (S, S+e) not yet dead; a branch dies when some element has none left.
     The decision order settles each pair: S+e is decided before S, so a
@@ -76,12 +86,15 @@ class SearchStats:
 
     ``nodes`` counts the search-tree nodes visited, the root included;
     the node budget is checked against it.  ``propagations`` counts three
-    prunes only: a node cut by the per-element scan (degree cap or
-    symmetry), an inclusion refused because the set is blocked or would
-    break the degree cap, and an exclusion that leaves some element with
-    no live twin pair.  It does not count nodes cut by the set-count test
-    or the capacity bound, nor leaves the twin cover rejects.  ``seconds``
-    is the wall time of the search, tables included.
+    prunes only: a node cut by the per-element scan (degree cap, symmetry
+    or the tied-label tie-break), an inclusion refused because the set is
+    blocked or would break the degree cap, and an exclusion that leaves
+    some element with no live twin pair.  It does not count nodes cut by
+    the set-count test or the capacity bound, the closure counts in it
+    included, nor leaves the twin cover rejects; where the pair closure
+    lowers an element's available count, a cut that follows in the scan
+    is counted.  ``seconds`` is the wall time of the search, tables
+    included.
     """
 
     nodes: int = 0
@@ -122,22 +135,35 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     tail = [0] * (size + 1)
     for k in range(1, size + 1):
         tail[k] = tail[k - 1] + order[size - k].bit_count()
+    order.append(0)  # past the last decision no set is undecided
     elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(size)]
     full = size - 1
-    # bitsets over masks: the sets containing each element, and the sets
-    # of each cardinality
+    # bitsets over masks: the sets containing each element, the sets of
+    # each cardinality, and the pairs and the triples at each element
     with_elem = [_subsets(full ^ 1 << e) << (1 << e) for e in range(n)]
     of_card = [1]
     for e in range(n):
         of_card = [a | b << (1 << e) for a, b in zip(of_card + [0], [0] + of_card)]
+    singles = of_card[1]
+    pairs = of_card[2] if n > 1 else 0
+    pairs_at = [with_elem[e] & pairs for e in range(n)]
+    triples_at = [with_elem[e] & of_card[3] if n > 2 else 0 for e in range(n)]
+    most = _most(n * (n - 1) // 2)
+    every = (1 << size) - 1
     deg = [0] * n
     included: list[int] = []
     # bitsets over masks: the undecided and the excluded sets (a decided
     # set not excluded is in), and the blocked ones, which some included t
     # closes off (t|m is excluded); a blocked set stays blocked below
-    undec = (1 << size) - 1
+    undec = every
     outbits = blocked = 0
     saved: list[int] = []  # `blocked` before each inclusion
+    # the tie-break state of each label pair (i, i+1), see `_settle`;
+    # `ties` holds `tie` before each decision
+    tie = 0
+    ties: list[int] = []
+    labels = half - 1  # bit i for each pair (i, i+1) with i+1 < n
+    first_out = 0 if maximize else 1  # 1 when the first child excludes
     best: Optional[int] = None
     best_masks: Optional[tuple[int, ...]] = None
     aborted = False
@@ -186,6 +212,12 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 aborted = True
                 break
             avail = undec & ~blocked
+            # elements at the cap take their sets out (`in` suffices: a
+            # degree past the cap fails the scan anyway)
+            if cap in deg:
+                for i in range(n):
+                    if deg[i] >= cap:
+                        avail &= ~with_elem[i]
             n_avail = avail.bit_count()
             need = goal - len(included)
             if need > n_avail and not maximize:  # before the scan, unlike `k < need`
@@ -195,33 +227,58 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             limit = n_avail
             # symmetry reduction: explore only families whose final
             # frequencies can still be non-increasing in the label (a
-            # relabeling always exists).  reach = min(deg[i-1] + r, cap),
-            # r the available sets with i-1, bounds deg[i] for both that
-            # and the cap.
+            # relabeling always exists).  `reach` bounds the final deg[i]:
+            # the cap for i = 0, then min(reach, deg[i-1] + r), r the sets
+            # with i-1 that can still join, less one when the tie-break
+            # found the pair (i-1, i) unfavourable.
             reach = cap
+            unfav = tie >> n
+            cur = order[depth].bit_count()  # no larger set is undecided
+            live = avail | every ^ undec ^ outbits  # included or available
+            # pair closure, while 3- or 2-sets are decided: k pairs at i
+            # need their k(k-1)/2 triples at i, so at most most[live
+            # triples at i] pairs at i can be in; the live ones over that
+            # count cannot all join
+            close = 1 < cur < 4
+            over = 0  # those pairs, summed over the elements
             for i in range(n):
                 d = deg[i]
                 if reach < d:
                     visit = False
                     break
                 r = (avail & with_elem[i]).bit_count()
-                room = cap - d
+                if close:
+                    x = (live & pairs_at[i]).bit_count() - most[(live & triples_at[i]).bit_count()]
+                    if x > 0:
+                        r -= x
+                        over += x
+                room = reach - d
                 if room < r:
                     caps_left += room
-                    reach = cap
                 else:
                     caps_left += r
                     reach = d + r
+                reach -= unfav >> i & 1
                 avoid = room + n_avail - r
                 if avoid < limit:
                     limit = avoid
             if not visit:
                 props += 1
                 continue
-            # capacity bound: the cheapest available sets that still fit
-            k = 0
-            for j, sets in enumerate(of_card):
-                c = (avail & sets).bit_count()
+            # capacity bound: the cheapest available sets that still fit,
+            # over the cardinalities still undecided; the empty set is free.
+            # At most most[live pairs] singletons can be in; the pairs that
+            # can join fill at most half the room the closure counts leave
+            # at the elements, as every pair sits at two.
+            k = avail & 1
+            for j in range(1, cur + 1):
+                c = (avail & of_card[j]).bit_count()
+                if j == 1:
+                    room = most[(live & pairs).bit_count()] - (live & singles).bit_count() + c
+                    if c > room:
+                        c = room
+                elif j == 2:
+                    c -= over + 1 >> 1
                 if c * j > caps_left:
                     k += caps_left // j
                     break
@@ -255,6 +312,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             depth -= 1
             mask = order[depth]
             undec |= 1 << mask
+            tie = ties.pop()
             if not outbits >> mask & 1:
                 if twin:
                     for e in grows[mask]:
@@ -298,6 +356,9 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                     for e in grows[mask]:
                         if not outbits >> (mask | 1 << e) & 1:
                             sat[e] += 1
+                ties.append(tie)
+                if mask & ~mask >> 1 & labels & ~tie:  # mask settles a pair
+                    tie = _settle(tie, mask, outbits, n, first_out)
                 depth += 1
                 visit = True
                 continue
@@ -307,6 +368,9 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 continue
         undec ^= 1 << mask
         outbits |= 1 << mask
+        ties.append(tie)
+        if mask & ~mask >> 1 & labels & ~tie:
+            tie = _settle(tie, mask, outbits, n, first_out)
         depth += 1
         visit = True
         if twin:
@@ -348,6 +412,44 @@ def _subsets(t: int) -> int:
         bits |= bits << low
         t ^= low
     return bits
+
+
+def _most(top: int) -> list[int]:
+    """most[t] for t <= top: the largest k with k(k-1)/2 <= t, the most
+    sets of one size that t of their pairwise unions leave room for."""
+    most = []
+    k = 1
+    for t in range(top + 1):
+        while (k + 1) * k // 2 <= t:
+            k += 1
+        most.append(k)
+    return most
+
+
+def _settle(tie: int, mask: int, outbits: int, n: int, first_out: int) -> int:
+    """``tie`` after deciding ``mask``, excluded iff its bit in ``outbits``.
+
+    ``tie`` holds the tie-break state of each pair of labels i, i+1: bit i
+    once the pair is settled, and bit n + i if it settled unfavourable.
+    For each set S avoiding i and i+1 the search decides S+{i+1} before
+    S+{i}; the first such two sets, in that order, that are decided apart
+    settle the pair.  It is favourable if S+{i+1} took the child the
+    search tries first (the excluding one iff ``first_out``): the family
+    then comes before its copy with i and i+1 swapped.  Otherwise the
+    copy comes first, so the family must end with deg[i] > deg[i+1].
+    ``mask`` is the S+{i} of every i in it whose i+1 < n is not, and
+    settles those pairs that are still open.
+    """
+    out = outbits >> mask & 1
+    pending = mask & ~mask >> 1 & ~tie & (1 << n - 1) - 1
+    while pending:
+        low = pending & -pending
+        if outbits >> (mask + low) & 1 != out:  # S+{i+1} is mask + 2^i
+            tie |= low
+            if out == first_out:
+                tie |= low << n
+        pending ^= low
+    return tie
 
 
 def _block(blocked: int, outbits: int, t: int, full: int) -> int:

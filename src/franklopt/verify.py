@@ -134,10 +134,10 @@ def compute_grid(
     Budget-aborted cells are left missing and reported in warnings.
 
     With workers > 1 and more than one cell to solve, the cells are
-    solved side by side in a pool of that many processes, each cell one
-    serial search under the full budget; otherwise they are solved in
-    this process.  Every worker count gives the same table when no budget
-    is set.
+    solved side by side in a pool of that many processes, or one per cell
+    when fewer cells are left, each cell one serial search under the full
+    budget; otherwise they are solved in this process.  Every worker count
+    gives the same table when no budget is set.
     """
     table = ValueTable()
     cached = load_cache(cache_path) if cache_path else ValueTable()
@@ -159,7 +159,7 @@ def compute_grid(
     if workers > 1 and len(todo) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(todo))) as pool:
             results = pool.map(_solve_cell, todo)
     else:
         results = [_solve_cell(job) for job in todo]

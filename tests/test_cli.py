@@ -55,10 +55,15 @@ class TestSolve:
             ["verify", "--grid-spec", "f:1..2"],
             ["verify", "--checks", "bogus", "--grid-spec", "f:1..2:1..2"],
             ["solve", "--model", "f", "--n", "3", "--param", "3", "--threads", "2"],
+            ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-nodes", "0"],
+            ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-nodes", "-5"],
+            ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-seconds", "0"],
+            ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-seconds", "-1.5"],
+            ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-seconds", "nan"],
         ],
         ids=[
             "model", "n0", "n17", "param0", "grid-range", "grid-spec", "checks",
-            "solve-threads",
+            "solve-threads", "nodes0", "nodes-neg", "seconds0", "seconds-neg", "seconds-nan",
         ],
     )
     def test_usage_error_exit_2(self, argv, capsys):
@@ -111,6 +116,34 @@ class TestGrid:
         seq = capsys.readouterr().out
         main(["grid", "--model", "g", "--n", "3..4", "--param", "2..8", "--threads", "2"])
         assert capsys.readouterr().out == seq
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--budget-nodes", "0"],
+            ["--budget-nodes", "-5"],
+            ["--budget-seconds", "0"],
+            ["--budget-seconds", "-1.5"],
+            ["--threads", "0"],
+            ["--threads", "-2"],
+        ],
+        ids=["nodes0", "nodes-neg", "seconds0", "seconds-neg", "threads0", "threads-neg"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["grid", "--model", "f", "--n", "2..3", "--param", "1..2"],
+            ["verify", "--checks", "reference", "--grid-spec", "f:2..3:1..2"],
+        ],
+        ids=["grid", "verify"],
+    )
+    def test_usage_error_exit_2(self, command, flags, capsys):
+        # a budget or worker count that allows no work is refused before any solve
+        with pytest.raises(SystemExit) as exc:
+            main(command + flags)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
 
 
 class TestVerify:

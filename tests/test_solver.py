@@ -19,6 +19,8 @@ from franklopt.solver import (
     SearchBudget,
     Status,
     _block,
+    _most,
+    _settle,
     exhaustive_oracle,
     solve,
 )
@@ -183,6 +185,59 @@ class TestBlockedSets:
                     excluded.add(mask)
                 assert blocked == naive_blocked(included, excluded, size), (seed, mask)
         assert refused > 0
+
+
+def naive_tie(n, order, side, first_out):
+    """The tie-break state by direct comparison: for each pair of labels
+    i, i+1, compare the decided sets of the family with those of its copy
+    with i and i+1 swapped, in decision order."""
+    tie = 0
+    for i in range(n - 1):
+        for mask in order:
+            if mask not in side:
+                break
+            bits = mask >> i & 3
+            swapped = mask ^ (3 << i) if bits in (1, 2) else mask
+            if swapped not in side:
+                break  # the copy's side here is still open
+            if side[mask] != side[swapped]:
+                tie |= 1 << i
+                if side[mask] != first_out:  # the copy comes first
+                    tie |= 1 << (n + i)
+                break
+    return tie
+
+
+class TestTieBreak:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_incremental_state_matches_naive(self, n):
+        # random include/exclude sequences in the search's decision order,
+        # for both child orders
+        size = 1 << n
+        order = sorted(range(size), key=lambda s: (-s.bit_count(), -s))
+        unfavourable = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            first_out = seed % 2
+            p_include = rng.choice([0.3, 0.5, 0.8])
+            side = {}  # 1 for an excluded set
+            tie = outbits = 0
+            for mask in order:
+                side[mask] = int(rng.random() >= p_include)
+                outbits |= side[mask] << mask
+                tie = _settle(tie, mask, outbits, n, first_out)
+                assert tie == naive_tie(n, order, side, first_out), (seed, mask)
+            unfavourable += tie >> n != 0
+        assert 0 < unfavourable < 200
+
+
+class TestClosureCounts:
+    def test_most_is_largest_k_whose_pairs_fit(self):
+        # most[t]: the most sets whose k(k-1)/2 pairwise unions fit in t
+        most = _most(80)
+        assert len(most) == 81
+        for t, k in enumerate(most):
+            assert k == max(j for j in range(1, 20) if j * (j - 1) // 2 <= t), t
 
 
 class TestWitnessSoundness:

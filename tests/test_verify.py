@@ -101,6 +101,33 @@ class TestComputeGrid:
         assert par.entries == seq.entries == {("f", 5, 9): TableEntry(17, "solver")}
         assert not par.warnings
 
+    @pytest.mark.parametrize("workers,size", [(8, 3), (2, 2)])
+    def test_pool_no_larger_than_cells_left(self, monkeypatch, tmp_path, workers, size):
+        # a recording stand-in for the pool: it solves in this process
+        import multiprocessing
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, jobs):
+                return [func(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        path = tmp_path / "cache.txt"
+        compute_grid(ModelKind.F, [3], [1, 2], cache_path=path)  # two cells cached
+        table = compute_grid(ModelKind.F, [3], range(1, 6), cache_path=path, workers=workers)
+        assert sizes == [size]
+        assert table.entries == compute_grid(ModelKind.F, [3], range(1, 6)).entries
+
     def test_single_cell_budget_abort(self):
         table = compute_grid(
             ModelKind.F, [5], [12], budget=SearchBudget(max_nodes=1000), workers=2
