@@ -26,7 +26,7 @@ from .families import (
     union_closure,
     write_family,
 )
-from .lp import export
+from .lp import export, write_lp
 from .models import ModelInstance, ModelKind, build
 from .solver import SearchBudget, Status, solve
 from . import verify as verify_mod
@@ -205,13 +205,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    inst = ModelInstance(ModelKind.parse(args.model), args.n, args.param)
-    document = export(build(inst))
+    system = build(ModelInstance(ModelKind.parse(args.model), args.n, args.param))
     if args.out == "-":
-        sys.stdout.write(document.text)
+        sys.stdout.write(export(system).text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document.text)
+        write_lp(system, args.out)
     return 0
 
 

@@ -30,11 +30,11 @@ cap.  Pruning:
     counts: k singletons need their k(k-1)/2 pairwise unions, and k pairs
     at one element their k(k-1)/2 triples at it, in the family or still
     available, so no more join than those allow;
-  - for the twin kinds, a per-element count of non-trivial twin pairs
-    (S, S+e) not yet dead; a branch dies when some element has none left.
-    The decision order settles each pair: S+e is decided before S, so a
-    pair dies when S+e is excluded, and when S is decided it completes
-    (S and S+e in) or dies (S out).
+  - for the twin kinds, the non-trivial twin pairs (S, S+e) of each
+    element, read off the decided-set bitsets with no per-element
+    counters: a pair is dead once S or S+e is excluded, and a branch dies
+    when some element has no live pair left; a G/GT leaf needs, for every
+    element, a pair with S and S+e both in.
 
 The search is one non-recursive loop over a depth counter, for all four
 kinds: the objective sets the degree cap, the set count a branch must
@@ -71,10 +71,16 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-time limits; both None means explicitly unlimited."""
+    """Node and wall-time limits, each None (unlimited) or positive."""
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be at least 1, got {self.max_nodes}")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            raise ValueError(f"max_seconds must be positive, got {self.max_seconds}")
 
 
 UNLIMITED = SearchBudget()
@@ -122,8 +128,9 @@ class SolveOutcome:
 def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     """One branch-and-bound run over the whole decision tree."""
     started = time.monotonic()
-    max_nodes = budget.max_nodes
-    deadline = None if budget.max_seconds is None else started + budget.max_seconds
+    # a limit that is set is positive, so `or` only replaces None
+    max_nodes = budget.max_nodes or float("inf")
+    deadline = started + (budget.max_seconds or float("inf"))
     n = inst.n
     size = 1 << n
     half = size >> 1
@@ -151,34 +158,23 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     most = _most(n * (n - 1) // 2)
     every = (1 << size) - 1
     deg = [0] * n
-    included: list[int] = []
     # bitsets over masks: the undecided and the excluded sets (a decided
     # set not excluded is in), and the blocked ones, which some included t
     # closes off (t|m is excluded); a blocked set stays blocked below
     undec = every
     outbits = blocked = 0
-    saved: list[int] = []  # `blocked` before each inclusion
-    # the tie-break state of each label pair (i, i+1), see `_settle`;
-    # `ties` holds `tie` before each decision
+    # the tie-break state of each label pair (i, i+1), see `_settle`
     tie = 0
-    ties: list[int] = []
+    trail: list[tuple[int, int]] = []  # (blocked, tie) before each decision
     labels = half - 1  # bit i for each pair (i, i+1) with i+1 < n
     first_out = 0 if maximize else 1  # 1 when the first child excludes
     best: Optional[int] = None
     best_masks: Optional[tuple[int, ...]] = None
     aborted = False
 
-    if twin:
-        # a twin pair is a set S without e, not of size n-1, and S+e;
-        # grows[s]: the e with s = S; shrinks[s]: the e with s = S+e
-        grows = [
-            () if mask.bit_count() == n - 1
-            else tuple(e for e in range(n) if not mask >> e & 1)
-            for mask in range(size)
-        ]
-        shrinks = elems[:-1] + [()]
-        alive = [half - 1] * n  # pairs of each element not dead
-        sat = [0] * n  # pairs of each element complete
+    # littles[e]: the little twins S of e's non-trivial twin pairs
+    # (S, S+e), the sets without e whose S+e is not the full set
+    littles = [_subsets(full ^ 1 << e) ^ 1 << (full ^ 1 << e) for e in range(n)] if twin else []
 
     # What the objective decides: the degree cap `cap`, the set count
     # `goal` a branch must still be able to reach, the leaf, and the root
@@ -201,14 +197,11 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     depth = 0
     # visit False: the node at `depth` is done, undo the decision above it.
     # An element without any twin pair leaves nothing to search.
-    visit = not (twin and 0 in alive)
+    visit = not _twinless(littles, outbits)
     while True:
         if visit:
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                aborted = True
-                break
-            if deadline is not None and not nodes & 1023 and monotonic() > deadline:
+            if nodes > max_nodes or not nodes & 1023 and monotonic() > deadline:
                 aborted = True
                 break
             avail = undec & ~blocked
@@ -219,7 +212,8 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                     if deg[i] >= cap:
                         avail &= ~with_elem[i]
             n_avail = avail.bit_count()
-            need = goal - len(included)
+            inc = every ^ undec ^ outbits
+            need = goal - inc.bit_count()
             if need > n_avail and not maximize:  # before the scan, unlike `k < need`
                 visit = False
                 continue
@@ -234,7 +228,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             reach = cap
             unfav = tie >> n
             cur = order[depth].bit_count()  # no larger set is undecided
-            live = avail | every ^ undec ^ outbits  # included or available
+            live = avail | inc  # included or available
             # pair closure, while 3- or 2-sets are decided: k pairs at i
             # need their k(k-1)/2 triples at i, so at most most[live
             # triples at i] pairs at i can be in; the live ones over that
@@ -292,14 +286,15 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             if depth == size if maximize else need == 0:
                 visit = False
                 if maximize:
-                    best = len(included)
+                    best = inc.bit_count()
                     goal = best + 1
                 else:
-                    if twin and 0 in sat:
+                    # every element needs a pair with both twins in
+                    if twin and not all(s & inc & inc >> (1 << e) for e, s in enumerate(littles)):
                         continue
                     best = max(deg)
                     cap = best - 1
-                best_masks = tuple(sorted(included))
+                best_masks = tuple(m for m in range(size) if inc >> m & 1)
                 if best == target:
                     break
                 continue
@@ -312,24 +307,12 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             depth -= 1
             mask = order[depth]
             undec |= 1 << mask
-            tie = ties.pop()
+            blocked, tie = trail.pop()
             if not outbits >> mask & 1:
-                if twin:
-                    for e in grows[mask]:
-                        if not outbits >> (mask | 1 << e) & 1:
-                            sat[e] -= 1
                 for e in elems[mask]:
                     deg[e] -= 1
-                included.pop()
-                blocked = saved.pop()
                 include = False
             else:
-                if twin:
-                    for e in shrinks[mask]:
-                        alive[e] += 1
-                    for e in grows[mask]:
-                        if not outbits >> (mask | 1 << e) & 1:
-                            alive[e] += 1
                 outbits ^= 1 << mask
                 include = True
             if include == maximize:
@@ -345,18 +328,12 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                         ok = False
                         break
             if ok:
-                included.append(mask)
-                saved.append(blocked)
+                trail.append((blocked, tie))
                 if outbits:
                     blocked = _block(blocked, outbits, mask, full)
                 undec ^= 1 << mask
                 for e in elems[mask]:
                     deg[e] += 1
-                if twin:
-                    for e in grows[mask]:
-                        if not outbits >> (mask | 1 << e) & 1:
-                            sat[e] += 1
-                ties.append(tie)
                 if mask & ~mask >> 1 & labels & ~tie:  # mask settles a pair
                     tie = _settle(tie, mask, outbits, n, first_out)
                 depth += 1
@@ -366,27 +343,16 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             if not second:
                 visit = False
                 continue
+        trail.append((blocked, tie))
         undec ^= 1 << mask
         outbits |= 1 << mask
-        ties.append(tie)
         if mask & ~mask >> 1 & labels & ~tie:
             tie = _settle(tie, mask, outbits, n, first_out)
         depth += 1
-        visit = True
-        if twin:
-            # the pairs this exclusion kills: those with mask = S+e, and
-            # those with mask = S whose S+e is in (the rest died earlier)
-            for e in shrinks[mask]:
-                alive[e] -= 1
-                if not alive[e]:
-                    visit = False  # e lost its last completable twin pair
-            for e in grows[mask]:
-                if not outbits >> (mask | 1 << e) & 1:
-                    alive[e] -= 1
-                    if not alive[e]:
-                        visit = False
-            if not visit:
-                props += 1
+        # the exclusion may kill some element's last live twin pair
+        visit = not (twin and _twinless(littles, outbits))
+        if not visit:
+            props += 1
 
     stats = SearchStats(nodes, props, time.monotonic() - started)
     witness = None
@@ -412,6 +378,12 @@ def _subsets(t: int) -> int:
         bits |= bits << low
         t ^= low
     return bits
+
+
+def _twinless(littles: list[int], outbits: int) -> bool:
+    """Whether some element e has no live twin pair: every (S, S+e) with
+    S in ``littles[e]`` has S or S+e excluded in ``outbits``."""
+    return any(not little & ~(outbits | outbits >> (1 << e)) for e, little in enumerate(littles))
 
 
 def _most(top: int) -> list[int]:

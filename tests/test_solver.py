@@ -340,6 +340,17 @@ class TestBudget:
         assert out.incumbent_value is not None
         assert check_feasible(inst("f", 6, 24), out.incumbent_witness).feasible
 
+    @pytest.mark.parametrize(
+        "limits",
+        [{"max_nodes": 0}, {"max_nodes": -1}, {"max_seconds": 0}, {"max_seconds": -3}],
+        ids=["nodes0", "nodes-1", "seconds0", "seconds-3"],
+    )
+    def test_nonpositive_budget_rejected(self, limits):
+        # max_nodes=0 would abort at the root, and max_seconds=0 would go
+        # unread by a search under 1,024 nodes
+        with pytest.raises(ValueError):
+            SearchBudget(**limits)
+
     def test_seconds_budget_bounds_solve(self):
         problem = inst("f", 6, 24)
         started = time.monotonic()
