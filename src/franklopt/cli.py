@@ -60,11 +60,14 @@ def _positive_seconds(text: str) -> float:
 
 
 def _range_of(item):
-    """Type for A or A..B, each end parsed by `item`."""
+    """Type for A or A..B with A <= B, each end parsed by `item`."""
 
     def _range(text: str) -> range:
         lo, dots, hi = text.partition("..")
-        return range(item(lo), item(hi if dots else lo) + 1)
+        lo, hi = item(lo), item(hi if dots else lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}; expected A..B with A <= B")
+        return range(lo, hi + 1)
 
     return _range
 
@@ -73,7 +76,7 @@ def _grid_spec(text: str):
     """model:A..B:C..D -> (kind, ns, params)."""
     try:
         model, ns, params = text.split(":")
-        return ModelKind.parse(model), _range_of(_ground_size)(ns), _range_of(_positive)(params)
+        return ModelKind(model), _range_of(_ground_size)(ns), _range_of(_positive)(params)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad --grid-spec {text!r}; expected model:A..B:C..D")
 
@@ -113,7 +116,7 @@ def _cache_path(args):
 
 
 def cmd_solve(args) -> int:
-    inst = ModelInstance(ModelKind.parse(args.model), args.n, args.param)
+    inst = ModelInstance(ModelKind(args.model), args.n, args.param)
     outcome = solve(inst, _budget(args))
     if outcome.status is Status.OPTIMAL:
         print(f"value={outcome.value}")
@@ -156,7 +159,7 @@ def _render_grid(table, kind, ns, params, fmt) -> str:
 
 
 def cmd_grid(args) -> int:
-    kind = ModelKind.parse(args.model)
+    kind = ModelKind(args.model)
     table = verify_mod.compute_grid(
         kind,
         args.n,
@@ -164,7 +167,6 @@ def cmd_grid(args) -> int:
         budget=_budget(args),
         cache_path=_cache_path(args),
         workers=args.threads,
-        skip_trivial=args.skip_trivial,
     )
     print(_render_grid(table, kind, args.n, args.param, args.format))
     for warning in table.warnings:
@@ -205,7 +207,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    system = build(ModelInstance(ModelKind.parse(args.model), args.n, args.param))
+    system = build(ModelInstance(ModelKind(args.model), args.n, args.param))
     if args.out == "-":
         sys.stdout.write(export(system).text)
     else:
@@ -259,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=_range_of(_positive), required=True, metavar="C..D")
     p.add_argument("--cache", metavar="PATH")
     p.add_argument("--format", choices=["tsv", "markdown"], default="tsv")
-    p.add_argument("--skip-trivial", action="store_true")
     _add_budget_flags(p)
     _add_threads_flag(p)
     p.set_defaults(func=cmd_grid)

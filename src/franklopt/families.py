@@ -59,10 +59,6 @@ class Family:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def __contains__(self, mask: int) -> bool:
-        # sets are sorted but short; linear scan via set would allocate
-        return mask in self.sets
-
 
 def family_from_masks(n: int, masks: Iterable[int]) -> Family:
     """Canonicalize an iterable of masks into a Family (duplicates merged)."""

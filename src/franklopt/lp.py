@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .families import elements_from_mask
 from .models import ConstraintSystem, Constraint
 
 GENERATOR = "franklopt-lp v1"
@@ -60,17 +61,6 @@ def _term_tokens(terms) -> list[str]:
     return tokens
 
 
-def _set_braces(mask: int) -> str:
-    elems = []
-    e = 1
-    while mask:
-        if mask & 1:
-            elems.append(str(e))
-        mask >>= 1
-        e += 1
-    return "{" + ",".join(elems) + "}"
-
-
 def export(system: ConstraintSystem) -> LpDocument:
     inst = system.inst
     lines = [
@@ -83,7 +73,8 @@ def export(system: ConstraintSystem) -> LpDocument:
     if inst.n <= _SUBSET_COMMENT_LIMIT:
         lines.append("\\ subset encoding:")
         for mask in range(1 << inst.n):
-            lines.append(f"\\   x_{mask} = {_set_braces(mask)}")
+            elems = ",".join(map(str, elements_from_mask(mask)))
+            lines.append(f"\\   x_{mask} = {{{elems}}}")
     else:
         lines.append("\\ x_<d> = subset whose characteristic bit pattern equals d")
 

@@ -49,13 +49,6 @@ class ModelKind(enum.Enum):
     def twin(self) -> bool:
         return self in (ModelKind.FT, ModelKind.GT)
 
-    @classmethod
-    def parse(cls, token: str) -> "ModelKind":
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(f"unknown model kind {token!r}; expected f, g, ft or gt")
-
 
 @dataclass(frozen=True)
 class ModelInstance:
@@ -226,9 +219,6 @@ def build(inst: ModelInstance) -> ConstraintSystem:
 class FeasibilityReport:
     feasible: bool
     violations: tuple[str, ...]
-
-    def __bool__(self):
-        return self.feasible
 
 
 def check_feasible(inst: ModelInstance, fam: Family) -> FeasibilityReport:

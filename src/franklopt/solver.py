@@ -321,36 +321,26 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
         if include:
             # decision order makes every union of mask with an included set
             # already decided, so closure holds unless mask is blocked
-            ok = not blocked >> mask & 1
-            if ok:
-                for e in elems[mask]:
-                    if deg[e] >= cap:
-                        ok = False
-                        break
-            if ok:
-                trail.append((blocked, tie))
-                if outbits:
-                    blocked = _block(blocked, outbits, mask, full)
-                undec ^= 1 << mask
-                for e in elems[mask]:
-                    deg[e] += 1
-                if mask & ~mask >> 1 & labels & ~tie:  # mask settles a pair
-                    tie = _settle(tie, mask, outbits, n, first_out)
-                depth += 1
-                visit = True
-                continue
-            props += 1
-            if not second:
-                visit = False
-                continue
+            if blocked >> mask & 1 or any(deg[e] >= cap for e in elems[mask]):
+                props += 1
+                if not second:
+                    visit = False
+                    continue
+                include = False  # a refused inclusion leaves the exclusion
         trail.append((blocked, tie))
         undec ^= 1 << mask
-        outbits |= 1 << mask
-        if mask & ~mask >> 1 & labels & ~tie:
+        if include:
+            if outbits:
+                blocked = _block(blocked, outbits, mask, full)
+            for e in elems[mask]:
+                deg[e] += 1
+        else:
+            outbits |= 1 << mask
+        if mask & ~mask >> 1 & labels & ~tie:  # mask settles a pair
             tie = _settle(tie, mask, outbits, n, first_out)
         depth += 1
-        # the exclusion may kill some element's last live twin pair
-        visit = not (twin and _twinless(littles, outbits))
+        # an exclusion may kill some element's last live twin pair
+        visit = include or not (twin and _twinless(littles, outbits))
         if not visit:
             props += 1
 

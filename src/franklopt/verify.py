@@ -2,6 +2,8 @@
 
 A ValueTable maps (kind, n, param) to an optimal value or infeasibility,
 with a provenance tag per entry (solver | oracle | reference | trivial).
+Computed F cells with a >= 2^(n-1) always read 2^n with provenance
+trivial: the family of all subsets is optimal there, so no search runs.
 Aborted solves never enter a table; they surface as warnings.
 
 Checkers turn the proven structural facts about f and g into grid
@@ -46,6 +48,9 @@ def cell_name(kind: str, n: int, param: int) -> str:
 
 @dataclass(frozen=True)
 class TableEntry:
+    """One cell's value and where it came from.  compute_grid tags every
+    F cell with a >= 2^(n-1) as trivial, with value 2^n."""
+
     value: Optional[int]  # None marks infeasible
     provenance: str  # solver | oracle | reference | trivial
 
@@ -79,6 +84,9 @@ class ValueTable:
 
 
 def load_cache(path) -> ValueTable:
+    """Read a results cache.  Each record must name a valid instance and
+    hold INF or a non-negative integer; any other record raises
+    ValueError naming its path and line."""
     table = ValueTable()
     if not os.path.exists(path):
         return table
@@ -87,17 +95,17 @@ def load_cache(path) -> ValueTable:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: malformed cache record {raw!r}")
-            kind, n, param, value, provenance = parts
-            ModelKind.parse(kind)
-            table.put(
-                kind,
-                int(n),
-                int(param),
-                TableEntry(None if value == "INF" else int(value), provenance),
-            )
+            try:
+                kind, n, param, value, provenance = line.split()
+                inst = ModelInstance(ModelKind(kind), int(n), int(param))
+                number = None if value == "INF" else int(value)
+                if number is not None and number < 0:
+                    raise ValueError(f"negative value {number}")
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed cache record {raw!r}: {exc}"
+                ) from None
+            table.put(kind, inst.n, inst.param, TableEntry(number, provenance))
     return table
 
 
@@ -125,18 +133,19 @@ def compute_grid(
     budget: SearchBudget = UNLIMITED,
     cache_path=None,
     workers: int = 1,
-    skip_trivial: bool = False,
 ) -> ValueTable:
     """Solve every cell of a (n, param) rectangle into a ValueTable.
 
-    Cached cells are reused.  With skip_trivial, F cells in the forced
-    regime a >= 2^(n-1) are filled analytically as 2^n and tagged.
-    Budget-aborted cells are left missing and reported in warnings.
+    F cells in the forced regime a >= 2^(n-1) are filled exactly as 2^n
+    with provenance "trivial", whatever the cache holds; other cached
+    cells are reused.  Budget-aborted cells are left missing and reported
+    in warnings.
 
     With workers > 1 and more than one cell to solve, the cells are
     solved side by side in a pool of that many processes, or one per cell
-    when fewer cells are left, each cell one serial search under the full
-    budget; otherwise they are solved in this process.  Every worker count
+    when fewer cells are left, handed out one cell at a time (cell times
+    differ by orders of magnitude), each cell one serial search under the
+    full budget; otherwise they are solved in this process.  Every worker count
     gives the same table when no budget is set.
     """
     table = ValueTable()
@@ -147,20 +156,22 @@ def compute_grid(
     for n in ns:
         for param in params:
             cell = (kind.value, n, param)
-            hit = cached.entries.get(cell)
-            if hit is not None:
-                table.entries[cell] = hit
-                continue
-            if skip_trivial and kind is ModelKind.F and param >= 1 << (n - 1):
-                table.entries[cell] = fresh[cell] = TableEntry(1 << n, "trivial")
-                continue
-            todo.append((kind.value, n, param, budget))
+            if kind is ModelKind.F and param >= 1 << (n - 1):
+                entry = TableEntry(1 << n, "trivial")
+                if cached.entries.get(cell) != entry:  # no duplicate records
+                    fresh[cell] = entry
+            else:
+                entry = cached.entries.get(cell)
+            if entry is None:
+                todo.append((kind.value, n, param, budget))
+            else:
+                table.entries[cell] = entry
 
     if workers > 1 and len(todo) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, len(todo))) as pool:
-            results = pool.map(_solve_cell, todo)
+            results = pool.map(_solve_cell, todo, chunksize=1)
     else:
         results = [_solve_cell(job) for job in todo]
 
@@ -313,132 +324,94 @@ def compare_to_reference(
 # -- structural property checks ------------------------------------------------
 
 
-def _feasible(entry: Optional[TableEntry]) -> Optional[int]:
-    if entry is None or entry.value is None:
-        return None
-    return entry.value
+def _cells(table: ValueTable, kind: str) -> list[tuple[int, int, Optional[int]]]:
+    """(n, param, value) of every `kind` cell of the table, sorted."""
+    return sorted((n, p, e.value) for (k, n, p), e in table.entries.items() if k == kind)
+
+
+def _against(report: CheckReport, name: str, other, missing: str, holds, detail) -> None:
+    """One assertion against a neighbouring cell: vacuous with the text
+    `missing` when `other` is None, else pass when `holds(other)` and fail
+    with `detail(other)` otherwise.  `other` is the neighbour's value or,
+    where an infeasible neighbour must be told apart, its entry."""
+    if other is None:
+        report.add(name, VACUOUS, missing)
+    elif holds(other):
+        report.add(name, PASS)
+    else:
+        report.add(name, FAIL, detail(other))
 
 
 def check_properties(table: ValueTable) -> CheckReport:
     """Grid assertions for the six proven f/g monotonicity and inversion
-    properties plus their three twin-model analogues."""
+    properties plus their three twin-model analogues.
+
+    P1-P6 treat an infeasible neighbour as not covered.  T1 reports it as
+    vacuous, and T2 and T3 fail on it."""
     report = CheckReport("properties", f"{len(table.entries)} cells")
-    get = table.get
+    value_at = table.value
 
-    def assert_rel(name, cond, detail):
-        report.add(name, PASS if cond else FAIL, detail if not cond else "")
-
-    for (kind, n, a), entry in sorted(table.entries.items()):
-        if kind != "f":
-            continue
-        value = _feasible(entry)
+    for n, a, value in _cells(table, "f"):
         if value is None:
-            report.add(f"P?:{cell_name(kind, n, a)}", FAIL, "f cell unexpectedly infeasible")
+            report.add(f"P?:{cell_name('f', n, a)}", FAIL, "f cell unexpectedly infeasible")
             continue
-        # (1) non-decreasing in n
-        if n >= _ceil_log2(a) + 1:
-            nxt = _feasible(get("f", n + 1, a))
-            name = f"P1:f({n},{a})<=f({n + 1},{a})"
-            if nxt is None:
-                report.add(name, VACUOUS, "next column not covered")
-            else:
-                assert_rel(name, value <= nxt, f"{value} > {nxt}")
-        # (3) strictly increasing in a
-        if n > _ceil_log2(a) + 1:
-            nxt = _feasible(get("f", n, a + 1))
-            name = f"P3:f({n},{a})<f({n},{a + 1})"
-            if nxt is None:
-                report.add(name, VACUOUS, "next row not covered")
-            else:
-                assert_rel(name, value < nxt, f"{value} >= {nxt}")
-        # (5) g(n, f(n,a)) = a
-        if n > _ceil_log2(a) + 1:
-            g_back = _feasible(get("g", n, value))
-            name = f"P5:g({n},f({n},{a}))={a}"
-            if g_back is None:
-                report.add(name, VACUOUS, f"g({n},{value}) not covered")
-            else:
-                assert_rel(name, g_back == a, f"g({n},{value})={g_back}")
+        if n >= _ceil_log2(a) + 1:  # (1) non-decreasing in n
+            _against(report, f"P1:f({n},{a})<=f({n + 1},{a})", value_at("f", n + 1, a),
+                     "next column not covered", lambda v: value <= v, lambda v: f"{value} > {v}")
+        if n > _ceil_log2(a) + 1:  # (3) strictly increasing in a; (5) g(n, f(n,a)) = a
+            _against(report, f"P3:f({n},{a})<f({n},{a + 1})", value_at("f", n, a + 1),
+                     "next row not covered", lambda v: value < v, lambda v: f"{value} >= {v}")
+            _against(report, f"P5:g({n},f({n},{a}))={a}", value_at("g", n, value),
+                     f"g({n},{value}) not covered", lambda v: v == a,
+                     lambda v: f"g({n},{value})={v}")
 
-    for (kind, n, m), entry in sorted(table.entries.items()):
-        if kind != "g":
-            continue
-        value = entry.value
+    for n, m, value in _cells(table, "g"):
         if n < _ceil_log2(m):
             continue  # published tables leave these infeasible cells out
         if value is None:
             report.add(
-                f"P?:{cell_name(kind, n, m)}",
-                FAIL,
-                "g cell infeasible inside the feasible regime",
+                f"P?:{cell_name('g', n, m)}", FAIL, "g cell infeasible inside the feasible regime"
             )
             continue
         # (2) non-increasing in n
-        nxt = _feasible(get("g", n + 1, m))
-        name = f"P2:g({n},{m})>=g({n + 1},{m})"
-        if nxt is None:
-            report.add(name, VACUOUS, "next column not covered")
-        else:
-            assert_rel(name, value >= nxt, f"{value} < {nxt}")
-        # (4) non-decreasing in m
-        if m + 1 <= 1 << n:
-            nxt = _feasible(get("g", n, m + 1))
-            name = f"P4:g({n},{m})<=g({n},{m + 1})"
-            if nxt is None:
-                report.add(name, VACUOUS, "next row not covered")
-            else:
-                assert_rel(name, value <= nxt, f"{value} > {nxt}")
+        _against(report, f"P2:g({n},{m})>=g({n + 1},{m})", value_at("g", n + 1, m),
+                 "next column not covered", lambda v: value >= v, lambda v: f"{value} < {v}")
+        if m + 1 <= 1 << n:  # (4) non-decreasing in m
+            _against(report, f"P4:g({n},{m})<=g({n},{m + 1})", value_at("g", n, m + 1),
+                     "next row not covered", lambda v: value <= v, lambda v: f"{value} > {v}")
         # (6) f(n, g(n,m)) >= m
-        f_back = _feasible(get("f", n, value))
-        name = f"P6:f({n},g({n},{m}))>={m}"
-        if f_back is None:
-            report.add(name, VACUOUS, f"f({n},{value}) not covered")
-        else:
-            assert_rel(name, f_back >= m, f"f({n},{value})={f_back}")
+        _against(report, f"P6:f({n},g({n},{m}))>={m}", value_at("f", n, value),
+                 f"f({n},{value}) not covered", lambda v: v >= m,
+                 lambda v: f"f({n},{value})={v}")
 
     # twin-model analogues
-    for (kind, n, a), entry in sorted(table.entries.items()):
-        if kind != "ft":
-            continue
-        value = entry.value
+    for n, a, value in _cells(table, "ft"):
         if value is None:
             continue
         if a < 1 << (n - 1):
-            nxt_entry = get("ft", n, a + 1)
-            name = f"T1:ft({n},{a})<ft({n},{a + 1})"
-            if nxt_entry is None:
-                report.add(name, VACUOUS, "next row not covered")
-            elif nxt_entry.value is None:
-                report.add(name, VACUOUS, "next row infeasible")
-            else:
-                assert_rel(name, value < nxt_entry.value, f"{value} >= {nxt_entry.value}")
+            covered = ("ft", n, a + 1) in table.entries
+            _against(report, f"T1:ft({n},{a})<ft({n},{a + 1})", value_at("ft", n, a + 1),
+                     "next row infeasible" if covered else "next row not covered",
+                     lambda v: value < v, lambda v: f"{value} >= {v}")
         # the inversion below is proven by chaining strict increases, so it
         # only holds up to the saturation point a = 2^(n-1)
-        gt_back = get("gt", n, value)
         name = f"T2:gt({n},ft({n},{a}))={a}"
         if a > 1 << (n - 1):
             report.add(name, VACUOUS, "degree cap saturated; inversion not asserted")
-        elif gt_back is None:
-            report.add(name, VACUOUS, f"gt({n},{value}) not covered")
-        elif gt_back.value is None:
-            report.add(name, FAIL, f"gt({n},{value}) infeasible but ft({n},{a})={value}")
-        else:
-            assert_rel(name, gt_back.value == a, f"gt({n},{value})={gt_back.value}")
-
-    for (kind, n, m), entry in sorted(table.entries.items()):
-        if kind != "gt":
             continue
-        value = entry.value
+        _against(report, name, table.get("gt", n, value), f"gt({n},{value}) not covered",
+                 lambda e: e.value == a,
+                 lambda e: f"gt({n},{value})={e.value}" if e.value is not None
+                 else f"gt({n},{value}) infeasible but ft({n},{a})={value}")
+
+    for n, m, value in _cells(table, "gt"):
         if value is None:
             continue
-        ft_back = get("ft", n, value)
-        name = f"T3:ft({n},gt({n},{m}))>={m}"
-        if ft_back is None:
-            report.add(name, VACUOUS, f"ft({n},{value}) not covered")
-        elif ft_back.value is None:
-            report.add(name, FAIL, f"ft({n},{value}) infeasible but gt({n},{m})={value}")
-        else:
-            assert_rel(name, ft_back.value >= m, f"ft({n},{value})={ft_back.value}")
+        _against(report, f"T3:ft({n},gt({n},{m}))>={m}", table.get("ft", n, value),
+                 f"ft({n},{value}) not covered",
+                 lambda e: e.value is not None and e.value >= m,
+                 lambda e: f"ft({n},{value})={e.value}" if e.value is not None
+                 else f"ft({n},{value}) infeasible but gt({n},{m})={value}")
 
     return report
 
@@ -451,38 +424,26 @@ def check_stability(table: ValueTable) -> CheckReport:
     norm under budgets.
     """
     report = CheckReport("stability", f"{len(table.entries)} cells")
-    for (kind, n, param), entry in sorted(table.entries.items()):
-        if kind not in ("f", "g"):
-            continue
-        threshold = _ceil_log2(param) + (1 if kind == "f" else 0)
-        if n < threshold:
-            continue
-        value = entry.value
-        nxt = table.get(kind, n + 1, param)
-        name = f"S:{kind}({n},{param})={kind}({n + 1},{param})"
-        if value is None:
-            report.add(name, FAIL, "cell infeasible inside the stable regime")
-        elif nxt is None:
-            report.add(name, VACUOUS, "next column not covered")
-        elif nxt.value != value:
-            report.add(name, FAIL, f"{value} != {_fmt(nxt.value)} (conjecture counterexample?)")
-        else:
-            report.add(name, PASS)
+    for kind in ("f", "g"):
+        for n, param, value in _cells(table, kind):
+            if n < _ceil_log2(param) + (kind == "f"):
+                continue
+            name = f"S:{kind}({n},{param})={kind}({n + 1},{param})"
+            if value is None:
+                report.add(name, FAIL, "cell infeasible inside the stable regime")
+                continue
+            _against(report, name, table.get(kind, n + 1, param), "next column not covered",
+                     lambda e: e.value == value,
+                     lambda e: f"{value} != {_fmt(e.value)} (conjecture counterexample?)")
     return report
 
 
 def check_falgas_ravry(table: ValueTable) -> CheckReport:
     """f(n-1, a) = f(n, a) on every covered cell with n > a (proven)."""
     report = CheckReport("falgas-ravry", f"{len(table.entries)} cells")
-    for (kind, n, a), entry in sorted(table.entries.items()):
-        if kind != "f" or n <= a:
-            continue
-        prev = table.get("f", n - 1, a)
-        name = f"FR:f({n - 1},{a})=f({n},{a})"
-        if prev is None:
-            report.add(name, VACUOUS, f"f({n - 1},{a}) not covered")
-        elif prev.value != entry.value:
-            report.add(name, FAIL, f"{_fmt(prev.value)} != {_fmt(entry.value)}")
-        else:
-            report.add(name, PASS)
+    for n, a, value in _cells(table, "f"):
+        if n > a:
+            _against(report, f"FR:f({n - 1},{a})=f({n},{a})", table.get("f", n - 1, a),
+                     f"f({n - 1},{a}) not covered", lambda e: e.value == value,
+                     lambda e: f"{_fmt(e.value)} != {_fmt(value)}")
     return report

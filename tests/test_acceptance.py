@@ -278,7 +278,7 @@ def test_criterion_9_lp_export():
         for bits in range(1 << 8):
             x_values = {var_x(m): bits >> m & 1 for m in range(8)}
             fam = family_from_masks(3, [m for m in range(8) if bits >> m & 1])
-            if assignment_feasible(parsed, x_values) != bool(check_feasible(inst, fam)):
+            if assignment_feasible(parsed, x_values) != check_feasible(inst, fam).feasible:
                 agree = False
                 break
     verdict(

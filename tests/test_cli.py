@@ -60,10 +60,17 @@ class TestSolve:
             ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-seconds", "0"],
             ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-seconds", "-1.5"],
             ["solve", "--model", "f", "--n", "3", "--param", "3", "--budget-seconds", "nan"],
+            ["grid", "--model", "f", "--n", "3..2", "--param", "1..2"],
+            ["grid", "--model", "f", "--n", "3", "--param", "4..1"],
+            ["verify", "--grid-spec", "f:3..2:1..2"],
+            ["verify", "--grid-spec", "F:3..3:1..2"],
+            ["grid", "--model", "f", "--n", "3", "--param", "1..4", "--skip-trivial"],
         ],
         ids=[
             "model", "n0", "n17", "param0", "grid-range", "grid-spec", "checks",
             "solve-threads", "nodes0", "nodes-neg", "seconds0", "seconds-neg", "seconds-nan",
+            "grid-n-reversed", "grid-param-reversed", "grid-spec-reversed", "grid-spec-kind-case",
+            "skip-trivial-gone",
         ],
     )
     def test_usage_error_exit_2(self, argv, capsys):

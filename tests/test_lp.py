@@ -142,9 +142,8 @@ class TestReader:
         for bits in range(1 << (1 << n)):
             x_values = {var_x(m): bits >> m & 1 for m in range(1 << n)}
             fam = family_from_masks(n, [m for m in range(1 << n) if bits >> m & 1])
-            assert assignment_feasible(parsed, x_values) == bool(
-                check_feasible(inst, fam)
-            ), (kind, bits)
+            feasible = check_feasible(inst, fam).feasible
+            assert assignment_feasible(parsed, x_values) == feasible, (kind, bits)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_feasibility_matches_model_check_on_sampled_n4_families(self, kind):
@@ -158,9 +157,9 @@ class TestReader:
                 if i % 4:
                     # closed and frequency-sorted, so that feasible families occur
                     fam = sort_by_frequency(union_closure(fam))
-                x_values = {var_x(m): int(m in fam) for m in range(16)}
+                x_values = {var_x(m): int(m in fam.sets) for m in range(16)}
                 feasible = assignment_feasible(parsed, x_values)
-                assert feasible == bool(check_feasible(inst, fam)), (param, fam.sets)
+                assert feasible == check_feasible(inst, fam).feasible, (param, fam.sets)
                 verdicts.add(feasible)
         assert verdicts == {True, False}
 

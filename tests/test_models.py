@@ -47,9 +47,10 @@ def union_rows_satisfied(system, assignment):
 
 class TestModelInstance:
     def test_kind_parse(self):
-        assert ModelKind.parse("FT") is ModelKind.FT
-        with pytest.raises(ValueError):
-            ModelKind.parse("q")
+        assert ModelKind("ft") is ModelKind.FT
+        for token in ("FT", "F", "q"):
+            with pytest.raises(ValueError):
+                ModelKind(token)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -70,13 +71,16 @@ class TestReferenceData:
 
 class TestComputeGrid:
     def test_values_match_reference(self):
+        # cells with a >= 2^(n-1) are filled as 2^n with no search
         table = compute_grid(ModelKind.F, range(1, 5), range(1, 9))
+        assert len(table.entries) == 32
         for (kind, n, a), entry in table.entries.items():
             assert entry.value == reference.CORE_F[kind, n, a]
-            assert entry.provenance == "solver"
+            assert entry.provenance == ("trivial" if a >= 1 << (n - 1) else "solver")
 
     def test_skip_trivial_tags_analytic_cells(self):
-        table = compute_grid(ModelKind.F, range(3, 5), range(1, 9), skip_trivial=True)
+        # the trivial rule needs no switch: f(3,7) is filled as 2^3 unsearched
+        table = compute_grid(ModelKind.F, range(3, 5), range(1, 9))
         entry = table.get("f", 3, 7)
         assert entry.value == 8
         assert entry.provenance == "trivial"
@@ -106,8 +110,6 @@ class TestComputeGrid:
         # a recording stand-in for the pool: it solves in this process
         import multiprocessing
 
-        sizes = []
-
         class RecordingPool:
             def __init__(self, processes):
                 sizes.append(processes)
@@ -118,15 +120,18 @@ class TestComputeGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, jobs):
+            def map(self, func, jobs, chunksize=None):
+                chunks.append(chunksize)
                 return [func(job) for job in jobs]
 
+        sizes, chunks = [], []
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         path = tmp_path / "cache.txt"
-        compute_grid(ModelKind.F, [3], [1, 2], cache_path=path)  # two cells cached
-        table = compute_grid(ModelKind.F, [3], range(1, 6), cache_path=path, workers=workers)
+        compute_grid(ModelKind.F, [4], [1, 2], cache_path=path)  # two cells cached
+        table = compute_grid(ModelKind.F, [4], range(1, 6), cache_path=path, workers=workers)
         assert sizes == [size]
-        assert table.entries == compute_grid(ModelKind.F, [3], range(1, 6)).entries
+        assert chunks == [1]  # one cell per task: cell times differ widely
+        assert table.entries == compute_grid(ModelKind.F, [4], range(1, 6)).entries
 
     def test_single_cell_budget_abort(self):
         table = compute_grid(
@@ -163,6 +168,38 @@ class TestCache:
         path.write_text("f 3 3 5\n")
         with pytest.raises(ValueError, match="malformed"):
             load_cache(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "F 3 3 5 solver",
+            "q 3 3 5 solver",
+            "f 0 3 5 solver",
+            "f 17 3 5 solver",
+            "f 3 -2 7 whatever",
+            "f 3 x 5 solver",
+            "f 3 3 -1 solver",
+            "f 3 3 five solver",
+            "f 3 3 5 solver extra",
+        ],
+    )
+    def test_invalid_record_rejected(self, tmp_path, record):
+        # a key no lookup reaches, an instance that does not exist, or a
+        # value that is neither INF nor a non-negative integer
+        path = tmp_path / "cache.txt"
+        path.write_text(f"# header\nf 3 2 4 solver\n{record}\n")
+        with pytest.raises(ValueError, match="cache.txt:3: malformed"):
+            load_cache(path)
+
+    def test_trivial_rule_overrides_cache(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        append_cache(path, {("f", 3, 4): TableEntry(7, "solver")})
+        table = compute_grid(ModelKind.F, [3], [4], cache_path=path)
+        assert table.get("f", 3, 4) == TableEntry(8, "trivial")
+        assert load_cache(path).get("f", 3, 4) == TableEntry(8, "trivial")
+        text = path.read_text()
+        compute_grid(ModelKind.F, [3], [4], cache_path=path)
+        assert path.read_text() == text  # a matching record is not appended again
 
     def test_spot_check_revalidates_against_fresh_solves(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -339,3 +376,56 @@ class TestCheckFalgasRavry:
         table.put("f", 4, 3, TableEntry(5, "solver"))
         report = check_falgas_ravry(table)
         assert [i.verdict for i in report.items] == [VACUOUS]
+
+
+def published_table():
+    table = ValueTable()
+    for cells in reference.REFERENCE_TABLES.values():
+        for cell, value in cells.items():
+            table.put(*cell, TableEntry(value, "reference"))
+    return table
+
+
+def perturbed(base, rng, mode):
+    """A copy of `base` with a few cells deleted (mode 0), set infeasible
+    (1) or moved by +-1 or +-2 (2), or a random sub-table (3)."""
+    if mode == 3:
+        keep = rng.random()
+        return ValueTable({c: e for c, e in base.entries.items() if rng.random() < keep})
+    table = ValueTable(dict(base.entries))
+    for cell in rng.sample(sorted(base.entries), rng.randint(1, 12)):
+        value = table.entries[cell].value
+        if mode == 0:
+            del table.entries[cell]
+        elif mode == 1:
+            table.entries[cell] = TableEntry(None, "reference")
+        elif value is not None:
+            table.entries[cell] = TableEntry(value + rng.choice((-2, -1, 1, 2)), "reference")
+    return table
+
+
+# sha256 over render(), machine_lines() and the item details of each
+# checker on the published table and 200 seeded perturbations of it
+PINNED_CHECKER_DIGESTS = {
+    "check_properties": "70848c4617d662992872825ed0b1ae8fcc71511e6147031efe0eb1786d1930ae",
+    "check_stability": "472a927ba4a6d72c50bc2c4279c6f107a4c7d34ecd2ab515b2814c607e02aaf3",
+    "check_falgas_ravry": "9fe3c72ba89ef2d99a95dab9d1afb9e7ffb83db93e41ac9ba04ff4cad02c38dd",
+}
+
+
+class TestCheckerDigests:
+    def test_reports_pinned_on_perturbed_tables(self):
+        base = published_table()
+        rng = random.Random(11)
+        tables = [base] + [perturbed(base, rng, i % 4) for i in range(200)]
+        digests = {}
+        for checker in (check_properties, check_stability, check_falgas_ravry):
+            digest = hashlib.sha256()
+            for table in tables:
+                report = checker(table)
+                digest.update(report.render().encode())
+                digest.update("\n".join(report.machine_lines()).encode())
+                # render() prints no vacuous detail, so pin those reasons too
+                digest.update("\n".join(item.detail for item in report.items).encode())
+            digests[checker.__name__] = digest.hexdigest()
+        assert digests == PINNED_CHECKER_DIGESTS
