@@ -5,8 +5,9 @@ printed with parameter rows and ground-set-size columns so they can be
 eyeballed against the published tables; infeasible cells print "-".
 
 Exit codes: 0 success, 1 failed checks or no value to report (infeasible
-or budget-aborted solve), 2 usage errors.  FRANKLOPT_CACHE sets the
-default results-cache path for grid and verify.
+or budget-aborted solve), 2 usage errors and results caches with a
+malformed record.  FRANKLOPT_CACHE sets the default results-cache path
+for grid and verify.
 """
 
 from __future__ import annotations
@@ -300,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except verify_mod.CacheError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

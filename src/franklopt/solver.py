@@ -31,10 +31,12 @@ cap.  Pruning:
     at one element their k(k-1)/2 triples at it, in the family or still
     available, so no more join than those allow;
   - for the twin kinds, the non-trivial twin pairs (S, S+e) of each
-    element, read off the decided-set bitsets with no per-element
-    counters: a pair is dead once S or S+e is excluded, and a branch dies
-    when some element has no live pair left; a G/GT leaf needs, for every
-    element, a pair with S and S+e both in.
+    element, read off the set bitsets with no per-element counters: a
+    pair is dead once S or S+e can no longer join the family (it is
+    excluded, blocked, or holds an element already at the degree cap),
+    and the per-element scan cuts a branch in which some element has no
+    live pair left; a G/GT leaf needs, for every element, a pair with S
+    and S+e both in.
 
 The search is one non-recursive loop over a depth counter, for all four
 kinds: the objective sets the degree cap, the set count a branch must
@@ -91,16 +93,16 @@ class SearchStats:
     """Cost of one solve.
 
     ``nodes`` counts the search-tree nodes visited, the root included;
-    the node budget is checked against it.  ``propagations`` counts three
-    prunes only: a node cut by the per-element scan (degree cap, symmetry
-    or the tied-label tie-break), an inclusion refused because the set is
-    blocked or would break the degree cap, and an exclusion that leaves
-    some element with no live twin pair.  It does not count nodes cut by
-    the set-count test or the capacity bound, the closure counts in it
-    included, nor leaves the twin cover rejects; where the pair closure
-    lowers an element's available count, a cut that follows in the scan
-    is counted.  ``seconds`` is the wall time of the search, tables
-    included.
+    the node budget is checked against it.  ``propagations`` counts two
+    prunes only: a node cut by the per-element scan (degree cap, symmetry,
+    the tied-label tie-break, or, for the twin kinds, an element with no
+    live twin pair), once per node whatever cut it, and an inclusion
+    refused because the set is blocked or would break the degree cap.
+    It does not count nodes cut by the set-count test or the capacity
+    bound, the closure counts in it included, nor leaves the twin cover
+    rejects; where the pair closure lowers an element's available count,
+    a cut that follows in the scan is counted.  ``seconds`` is the wall
+    time of the search, tables included.
     """
 
     nodes: int = 0
@@ -156,6 +158,9 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     pairs_at = [with_elem[e] & pairs for e in range(n)]
     triples_at = [with_elem[e] & of_card[3] if n > 2 else 0 for e in range(n)]
     most = _most(n * (n - 1) // 2)
+    # the depth of the first 2-set, from which on every triple is decided
+    pairs_from = size - 1 - n - n * (n - 1) // 2
+    tops: list[int] = []  # see `close`
     every = (1 << size) - 1
     deg = [0] * n
     # bitsets over masks: the undecided and the excluded sets (a decided
@@ -195,9 +200,8 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     monotonic = time.monotonic
     nodes = props = 0
     depth = 0
-    # visit False: the node at `depth` is done, undo the decision above it.
-    # An element without any twin pair leaves nothing to search.
-    visit = not _twinless(littles, outbits)
+    # visit False: the node at `depth` is done, undo the decision above it
+    visit = True
     while True:
         if visit:
             nodes += 1
@@ -206,11 +210,13 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 break
             avail = undec & ~blocked
             # elements at the cap take their sets out (`in` suffices: a
-            # degree past the cap fails the scan anyway)
+            # degree past the cap fails the scan anyway); `capped` holds them
+            capped = 0
             if cap in deg:
                 for i in range(n):
                     if deg[i] >= cap:
                         avail &= ~with_elem[i]
+                        capped |= 1 << i
             n_avail = avail.bit_count()
             inc = every ^ undec ^ outbits
             need = goal - inc.bit_count()
@@ -232,17 +238,23 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             # pair closure, while 3- or 2-sets are decided: k pairs at i
             # need their k(k-1)/2 triples at i, so at most most[live
             # triples at i] pairs at i can be in; the live ones over that
-            # count cannot all join
+            # count cannot all join.  No triple changes while 2-sets are
+            # decided, so `tops` counts them once, on entering that phase.
             close = 1 < cur < 4
+            if depth == pairs_from:
+                tops = [most[(inc & t).bit_count()] for t in triples_at]
             over = 0  # those pairs, summed over the elements
             for i in range(n):
                 d = deg[i]
-                if reach < d:
+                # a twin kind needs, at each element, a pair (S, S+e) whose
+                # twins can both still join
+                if reach < d or twin and not littles[i] & live & live >> (1 << i):
                     visit = False
                     break
                 r = (avail & with_elem[i]).bit_count()
                 if close:
-                    x = (live & pairs_at[i]).bit_count() - most[(live & triples_at[i]).bit_count()]
+                    top = tops[i] if cur == 2 else most[(live & triples_at[i]).bit_count()]
+                    x = (live & pairs_at[i]).bit_count() - top
                     if x > 0:
                         r -= x
                         over += x
@@ -318,10 +330,15 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             if include == maximize:
                 continue  # both children tried
             second = False
+            if include:  # deg is back to the node's, but cap may have dropped
+                capped = 0
+                for i in range(n):
+                    if deg[i] >= cap:
+                        capped |= 1 << i
         if include:
             # decision order makes every union of mask with an included set
             # already decided, so closure holds unless mask is blocked
-            if blocked >> mask & 1 or any(deg[e] >= cap for e in elems[mask]):
+            if blocked >> mask & 1 or mask & capped:
                 props += 1
                 if not second:
                     visit = False
@@ -339,10 +356,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
         if mask & ~mask >> 1 & labels & ~tie:  # mask settles a pair
             tie = _settle(tie, mask, outbits, n, first_out)
         depth += 1
-        # an exclusion may kill some element's last live twin pair
-        visit = include or not (twin and _twinless(littles, outbits))
-        if not visit:
-            props += 1
+        visit = True
 
     stats = SearchStats(nodes, props, time.monotonic() - started)
     witness = None
@@ -368,12 +382,6 @@ def _subsets(t: int) -> int:
         bits |= bits << low
         t ^= low
     return bits
-
-
-def _twinless(littles: list[int], outbits: int) -> bool:
-    """Whether some element e has no live twin pair: every (S, S+e) with
-    S in ``littles[e]`` has S or S+e excluded in ``outbits``."""
-    return any(not little & ~(outbits | outbits >> (1 << e)) for e, little in enumerate(littles))
 
 
 def _most(top: int) -> list[int]:

@@ -36,6 +36,7 @@ from .models import ModelInstance, ModelKind, check_feasible, objective_value
 from .solver import UNLIMITED, SearchBudget, SolveOutcome, Status, solve
 
 Cell = tuple[str, int, int]  # (kind value, n, param)
+PROVENANCES = ("solver", "oracle", "reference", "trivial")
 
 
 def _ceil_log2(x: int) -> int:
@@ -83,10 +84,14 @@ class ValueTable:
 # -- results cache ----------------------------------------------------------
 
 
+class CacheError(ValueError):
+    """A results-cache record that ``load_cache`` rejects."""
+
+
 def load_cache(path) -> ValueTable:
-    """Read a results cache.  Each record must name a valid instance and
-    hold INF or a non-negative integer; any other record raises
-    ValueError naming its path and line."""
+    """Read a results cache.  Each record must name a valid instance,
+    hold INF or a non-negative integer and carry one of the PROVENANCES;
+    any other record raises CacheError naming its path and line."""
     table = ValueTable()
     if not os.path.exists(path):
         return table
@@ -101,8 +106,10 @@ def load_cache(path) -> ValueTable:
                 number = None if value == "INF" else int(value)
                 if number is not None and number < 0:
                     raise ValueError(f"negative value {number}")
+                if provenance not in PROVENANCES:
+                    raise ValueError(f"unknown provenance {provenance!r}")
             except ValueError as exc:
-                raise ValueError(
+                raise CacheError(
                     f"{path}:{lineno}: malformed cache record {raw!r}: {exc}"
                 ) from None
             table.put(kind, inst.n, inst.param, TableEntry(number, provenance))

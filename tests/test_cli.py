@@ -118,6 +118,24 @@ class TestGrid:
         assert cache.exists()
         assert "f 3 3 5 solver" in cache.read_text()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["grid", "--model", "f", "--n", "3", "--param", "1..2"],
+            ["verify", "--checks", "reference", "--grid-spec", "f:3..3:1..2"],
+        ],
+        ids=["grid", "verify"],
+    )
+    def test_malformed_cache_exit_2(self, tmp_path, command, capsys):
+        # one error line naming the record, not a traceback
+        cache = tmp_path / "cache.txt"
+        cache.write_text("F 3 3 5 solver\n")
+        assert main(command + ["--cache", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cache}:1: malformed cache record")
+        assert captured.err.count("\n") == 1
+
     def test_threads_same_table(self, capsys):
         main(["grid", "--model", "g", "--n", "3..4", "--param", "2..8"])
         seq = capsys.readouterr().out

@@ -24,6 +24,7 @@ from franklopt.solver import (
     exhaustive_oracle,
     solve,
 )
+from franklopt.verify import cell_name
 
 
 GOLDEN_COUNTS = Path(__file__).parent / "golden" / "solver_counts.txt"
@@ -34,11 +35,13 @@ def inst(kind, n, param):
 
 
 def pinned_cells():
-    """Every published n <= 4 cell, plus one n = 5 cell of each kind."""
+    """Every published n <= 4 cell, one n = 5 cell of each kind, and the
+    two infeasible n = 5 twin cells the twin pairs refute."""
     cells = set()
     for table in reference.REFERENCE_TABLES.values():
         cells.update(c for c in table if c[1] <= 4)
     cells.update({("f", 5, 15), ("g", 5, 28), ("ft", 5, 15), ("gt", 5, 7)})
+    cells.update({("ft", 5, 5), ("gt", 5, 6)})
     return sorted(cells)
 
 
@@ -361,11 +364,30 @@ class TestBudget:
         assert objective_value(problem, out.incumbent_witness) == out.incumbent_value
 
 
+def count_totals(old_lines, new_lines):
+    """Per kind, the nodes and propagations summed over the cells both
+    golden lists hold, old -> new, then the cells only the new one holds."""
+    old = {tuple(a[:3]): c for a, c in map(split_fingerprint, old_lines)}
+    sums, added = {}, []
+    for answer, (nodes, props) in map(split_fingerprint, new_lines):
+        cell = tuple(answer[:3])
+        if cell not in old:
+            added.append(f"new: {cell_name(*cell)} nodes {nodes}, propagations {props}")
+            continue
+        total = sums.setdefault(cell[0], [0, 0, 0, 0])
+        for j, count in enumerate((old[cell][0], nodes, old[cell][1], props)):
+            total[j] += int(count)
+    return [
+        f"{kind}: nodes {a} -> {b}, propagations {c} -> {d}"
+        for kind, (a, b, c, d) in sorted(sums.items())
+    ] + added
+
+
 if __name__ == "__main__":
     # only the counts may be refreshed: a changed answer is a bug to fix
     # (a cell new to the file has no answer to keep)
-    answers = [split_fingerprint(line)[0] for line in GOLDEN_COUNTS.read_text().splitlines()]
-    old = {tuple(answer[:3]): answer for answer in answers}
+    old_lines = GOLDEN_COUNTS.read_text().splitlines()
+    old = {tuple(answer[:3]): answer for answer, _ in map(split_fingerprint, old_lines)}
     lines = [search_fingerprint(*cell) for cell in pinned_cells()]
     changed = []
     for line in lines:
@@ -375,3 +397,4 @@ if __name__ == "__main__":
     if changed:
         sys.exit("answer columns differ, golden file not written:\n" + "\n".join(changed[:5]))
     GOLDEN_COUNTS.write_text("".join(line + "\n" for line in lines))
+    print("\n".join(count_totals(old_lines, lines)))

@@ -181,11 +181,13 @@ class TestCache:
             "f 3 3 -1 solver",
             "f 3 3 five solver",
             "f 3 3 5 solver extra",
+            "f 3 3 5 whatever",
         ],
     )
     def test_invalid_record_rejected(self, tmp_path, record):
-        # a key no lookup reaches, an instance that does not exist, or a
-        # value that is neither INF nor a non-negative integer
+        # a key no lookup reaches, an instance that does not exist, a
+        # value that is neither INF nor a non-negative integer, or an
+        # unknown provenance
         path = tmp_path / "cache.txt"
         path.write_text(f"# header\nf 3 2 4 solver\n{record}\n")
         with pytest.raises(ValueError, match="cache.txt:3: malformed"):
