@@ -8,6 +8,12 @@ Conventions:
     so two families are equal iff their fields are equal.
   - Ground sets are capped at 16 elements; every mask fits a half-word
     and the power set fits in 65536 entries.
+  - The family predicates (frequencies, degree, twin counts) work on one
+    bitset over masks: bit s is set iff mask s is a member.  A table
+    cached per n holds, for each element, the bitset of the masks that
+    contain it, so a frequency or a twin count is an AND and a popcount.
+    ``twin_pairs`` and ``TwinPair`` are the object API for callers that
+    need the pairs themselves.
 
 All operations are pure; Family and TwinPair are immutable values and
 safe to share across workers.
@@ -16,6 +22,9 @@ safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, starmap
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 MAX_GROUND_SET = 16
@@ -92,15 +101,10 @@ def make_family(n: int, sets: Sequence[Iterable[int]]) -> Family:
 def is_union_closed(fam: Family) -> bool:
     """True iff the union of any two member sets is a member.
 
-    The empty family and any single-set family are union-closed.
+    The empty family and any single-set family are union-closed.  All
+    pairwise unions are checked in one pass, without an early exit.
     """
-    members = set(fam.sets)
-    sets = fam.sets
-    for i, t in enumerate(sets):
-        for u in sets[i + 1 :]:
-            if t | u not in members:
-                return False
-    return True
+    return set(fam.sets).issuperset(starmap(or_, combinations(fam.sets, 2)))
 
 
 def union_closure(fam: Family) -> Family:
@@ -120,15 +124,34 @@ def union_closure(fam: Family) -> Family:
     return Family(fam.n, tuple(sorted(closed)))
 
 
+@cache
+def _with_element(n: int) -> tuple[int, ...]:
+    """Per element k+1 of [n], the bitset over masks of the masks holding it.
+
+    Mask s holds element k+1 iff bit k of s is set, so over s = 0..2^n-1
+    the bitset repeats a period of 2^k zeros then 2^k ones.
+    """
+    out = []
+    for k in range(n):
+        half = 1 << k
+        # one bit at the start of each 2*half-bit period
+        starts = ((1 << (1 << n)) - 1) // ((1 << 2 * half) - 1)
+        out.append(starts * (((1 << half) - 1) << half))
+    return tuple(out)
+
+
+def _member_bits(fam: Family) -> int:
+    """The family as one bitset over masks: bit s set iff s is a member."""
+    bits = 0
+    for mask in fam.sets:
+        bits |= 1 << mask
+    return bits
+
+
 def frequencies(fam: Family) -> tuple[int, ...]:
     """Per-element membership counts: counts[e-1] = |{S in F : e in S}|."""
-    counts = [0] * fam.n
-    for mask in fam.sets:
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] += 1
-            mask ^= low
-    return tuple(counts)
+    bits = _member_bits(fam)
+    return tuple((bits & holding).bit_count() for holding in _with_element(fam.n))
 
 
 def degree(fam: Family) -> int:
@@ -170,13 +193,21 @@ def twin_pairs(fam: Family, e: int) -> list[TwinPair]:
 
 
 def twin_counts(fam: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-element twin-pair counts as (non-trivial, total) tuples."""
+    """Per-element twin-pair counts as (non-trivial, total) tuples.
+
+    The big twins of element k+1 are the members holding it whose mask
+    less the element is a member too; the pair is trivial when its big
+    twin is the full set.
+    """
+    bits = _member_bits(fam)
+    full = fam.full_mask
     nontrivial = []
     total = []
-    for e in range(1, fam.n + 1):
-        pairs = twin_pairs(fam, e)
-        total.append(len(pairs))
-        nontrivial.append(sum(1 for p in pairs if not p.trivial))
+    for k, holding in enumerate(_with_element(fam.n)):
+        bigs = bits & holding & bits << (1 << k)
+        count = bigs.bit_count()
+        total.append(count)
+        nontrivial.append(count - (bigs >> full & 1))
     return tuple(nontrivial), tuple(total)
 
 

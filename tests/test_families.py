@@ -1,9 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from franklopt.families import (
+    MAX_GROUND_SET,
     Family,
     add_largest_missing_set,
     clone_element,
@@ -214,6 +218,89 @@ class TestMinNontrivialTwinCount:
         nontrivial, total = twin_counts(power_set_family(4))
         assert nontrivial == (7, 7, 7, 7)
         assert total == (8, 8, 8, 8)
+
+
+def direct_frequencies(fam):
+    """Oracle: walk the bits of every member set."""
+    counts = [0] * fam.n
+    for mask in fam.sets:
+        for k in range(fam.n):
+            if mask >> k & 1:
+                counts[k] += 1
+    return tuple(counts)
+
+
+def assert_predicates_match_definitions(fam):
+    assert is_union_closed(fam) == uc_by_frozensets(fam)
+    freq = direct_frequencies(fam)
+    assert frequencies(fam) == freq
+    assert degree(fam) == max(freq, default=0)
+    elements = range(1, fam.n + 1)
+    total = tuple(len(twin_pairs(fam, e)) for e in elements)
+    nontrivial = tuple(sum(not p.trivial for p in twin_pairs(fam, e)) for e in elements)
+    assert twin_counts(fam) == (nontrivial, total)
+    assert min_nontrivial_twin_count(fam) == min(nontrivial)
+
+
+@st.composite
+def families_with_generators(draw):
+    """A family of up to 64 sets on [n], n = 1..16, and the union closure
+    of its first six drawn sets (at most 63 sets, so the closure stays
+    small at any n)."""
+    n = draw(st.integers(1, MAX_GROUND_SET))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
+    return family_from_masks(n, masks), union_closure(family_from_masks(n, masks[:6]))
+
+
+class TestPredicatesAgainstDefinitions:
+    """The bitset predicates against their direct definitions: pairwise
+    unions, a per-set bit walk and the TwinPair objects."""
+
+    @given(families_with_generators())
+    def test_drawn_families_and_closures(self, drawn):
+        fam, closure = drawn
+        assert_predicates_match_definitions(fam)
+        assert is_union_closed(closure)
+        assert_predicates_match_definitions(closure)
+
+    @pytest.mark.parametrize("masks", [[], [0]], ids=["empty", "empty_set_only"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_no_element_in_any_set(self, n, masks):
+        fam = family_from_masks(n, masks)
+        assert_predicates_match_definitions(fam)
+        assert frequencies(fam) == (0,) * n
+        assert twin_counts(fam) == ((0,) * n, (0,) * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_power_set(self, n):
+        fam = power_set_family(n)
+        assert_predicates_match_definitions(fam)
+        half = 1 << (n - 1)
+        assert twin_counts(fam) == ((half - 1,) * n, (half,) * n)
+
+    @pytest.mark.parametrize("n,e", [(1, 1), (3, 2), (6, 1), (6, 6), (16, 9)])
+    def test_full_set_and_full_less_one(self, n, e):
+        # the only twin pair is the trivial one, (full - {e}, full)
+        full = (1 << n) - 1
+        fam = family_from_masks(n, [full, full ^ 1 << (e - 1)])
+        assert_predicates_match_definitions(fam)
+        expected = tuple(int(k == e) for k in range(1, n + 1))
+        assert twin_counts(fam) == ((0,) * n, expected)
+
+    def test_wide_power_set_memory(self):
+        # the counts build no TwinPair objects: one per pair would be
+        # 32,768 of them per element here
+        fam = power_set_family(16)
+        tracemalloc.start()
+        try:
+            counts = twin_counts(fam)
+            freq = frequencies(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (((1 << 15) - 1,) * 16, (1 << 15,) * 16)
+        assert freq == (1 << 15,) * 16
+        assert peak < 1_000_000
 
 
 class TestCloneElement:
