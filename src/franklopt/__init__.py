@@ -10,7 +10,6 @@ writer, embedded published reference tables with checkers, and a CLI.
 
 from .families import (
     Family,
-    TwinPair,
     add_largest_missing_set,
     clone_element,
     degree,
@@ -25,7 +24,6 @@ from .families import (
     min_nontrivial_twin_count,
     read_family,
     remove_smallest_set,
-    twin_pairs,
     union_closure,
     write_family,
 )

@@ -33,7 +33,13 @@ from .solver import SearchBudget, Status, solve
 from . import verify as verify_mod
 
 CACHE_ENV = "FRANKLOPT_CACHE"
-CHECKS = ("reference", "properties", "stability", "falgas-ravry")
+MODELS = tuple(kind.value for kind in ModelKind)
+CHECKS = {
+    "reference": verify_mod.compare_to_reference,
+    "properties": verify_mod.check_properties,
+    "stability": verify_mod.check_stability,
+    "falgas-ravry": verify_mod.check_falgas_ravry,
+}
 
 
 # Argument types: argparse turns their errors into usage errors (exit 2).
@@ -83,7 +89,7 @@ def _grid_spec(text: str):
 
 
 def _checks(text: str) -> tuple[str, ...]:
-    wanted = CHECKS if text == "all" else tuple(text.split(","))
+    wanted = tuple(CHECKS) if text == "all" else tuple(text.split(","))
     for check in wanted:
         if check not in CHECKS:
             raise argparse.ArgumentTypeError(
@@ -159,25 +165,10 @@ def _render_grid(table, kind, ns, params, fmt) -> str:
     return "\n".join(lines)
 
 
-def cmd_grid(args) -> int:
-    kind = ModelKind(args.model)
-    table = verify_mod.compute_grid(
-        kind,
-        args.n,
-        args.param,
-        budget=_budget(args),
-        cache_path=_cache_path(args),
-        workers=args.threads,
-    )
-    print(_render_grid(table, kind, args.n, args.param, args.format))
-    for warning in table.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return 0
-
-
-def cmd_verify(args) -> int:
+def _grid_table(args, specs) -> verify_mod.ValueTable:
+    """Merge the grids of (kind, ns, params) specs; print their warnings."""
     table = verify_mod.ValueTable()
-    for kind, ns, params in args.grid_spec:
+    for kind, ns, params in specs:
         table.merge(
             verify_mod.compute_grid(
                 kind,
@@ -190,16 +181,21 @@ def cmd_verify(args) -> int:
         )
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    return table
 
-    runners = {
-        "reference": verify_mod.compare_to_reference,
-        "properties": verify_mod.check_properties,
-        "stability": verify_mod.check_stability,
-        "falgas-ravry": verify_mod.check_falgas_ravry,
-    }
+
+def cmd_grid(args) -> int:
+    kind = ModelKind(args.model)
+    table = _grid_table(args, [(kind, args.n, args.param)])
+    print(_render_grid(table, kind, args.n, args.param, args.format))
+    return 0
+
+
+def cmd_verify(args) -> int:
+    table = _grid_table(args, args.grid_spec)
     failed = False
     for check in args.checks:
-        report = runners[check](table)
+        report = CHECKS[check](table)
         print(report.render())
         for line in report.machine_lines():
             print(line)
@@ -249,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one instance to optimality")
-    p.add_argument("--model", required=True, choices=["f", "g", "ft", "gt"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", type=_ground_size, required=True)
     p.add_argument("--param", type=_positive, required=True, help="degree cap a or set count m")
     p.add_argument("--witness", metavar="PATH", help="write the witness family here")
@@ -257,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("grid", help="solve a rectangle of instances")
-    p.add_argument("--model", required=True, choices=["f", "g", "ft", "gt"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", type=_range_of(_ground_size), required=True, metavar="A..B")
     p.add_argument("--param", type=_range_of(_positive), required=True, metavar="C..D")
     p.add_argument("--cache", metavar="PATH")
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-lp", help="write one instance in LP text format")
-    p.add_argument("--model", required=True, choices=["f", "g", "ft", "gt"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", type=_ground_size, required=True)
     p.add_argument("--param", type=_positive, required=True)
     p.add_argument("--out", required=True, metavar="PATH", help="target path or - for stdout")

@@ -12,11 +12,9 @@ Conventions:
     bitset over masks: bit s is set iff mask s is a member.  A table
     cached per n holds, for each element, the bitset of the masks that
     contain it, so a frequency or a twin count is an AND and a popcount.
-    ``twin_pairs`` and ``TwinPair`` are the object API for callers that
-    need the pairs themselves.
 
-All operations are pure; Family and TwinPair are immutable values and
-safe to share across workers.
+All operations are pure; a Family is an immutable value and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -108,19 +106,15 @@ def is_union_closed(fam: Family) -> bool:
 
 
 def union_closure(fam: Family) -> Family:
-    """Smallest union-closed superfamily on the same ground set."""
-    closed = set(fam.sets)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for t in frontier:
-            for u in closed:
-                v = t | u
-                if v not in closed:
-                    fresh.append(v)
-        for v in fresh:
-            closed.add(v)
-        frontier = fresh
+    """Smallest union-closed superfamily on the same ground set.
+
+    Folds in one generator at a time: the closure of the first k is
+    closed again after adding g and its unions with every member.
+    """
+    closed: set[int] = set()
+    for g in fam.sets:
+        closed |= {g | s for s in closed}
+        closed.add(g)
     return Family(fam.n, tuple(sorted(closed)))
 
 
@@ -159,37 +153,6 @@ def degree(fam: Family) -> int:
     if not fam.sets:
         return 0
     return max(frequencies(fam))
-
-
-@dataclass(frozen=True)
-class TwinPair:
-    """Two member sets differing in exactly one element.
-
-    ``big == little | (1 << (diff - 1))``; the pair is trivial when the
-    big twin is the full ground set.
-    """
-
-    little: int
-    big: int
-    diff: int
-    trivial: bool
-
-
-def twin_pairs(fam: Family, e: int) -> list[TwinPair]:
-    """All member pairs (S, S + {e}) with e not in S, by little mask ascending."""
-    if not 1 <= e <= fam.n:
-        raise ValueError(f"element {e} out of range 1..{fam.n}")
-    bit = 1 << (e - 1)
-    members = set(fam.sets)
-    full = fam.full_mask
-    out = []
-    for little in fam.sets:
-        if little & bit:
-            continue
-        big = little | bit
-        if big in members:
-            out.append(TwinPair(little, big, e, big == full))
-    return out
 
 
 def twin_counts(fam: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -58,7 +58,7 @@ import enum
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from typing import Optional
 
 from .families import Family, degree, is_union_closed, min_nontrivial_twin_count, sort_by_frequency
@@ -457,7 +457,7 @@ def solve(
 # -- exhaustive oracle --------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
+@cache
 def _family_catalog(n: int):
     """Every non-empty union-closed family on [n] with its statistics.
 

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -233,3 +234,79 @@ class TestClosureInspect:
         path.write_text("n=2\n1\n2\n")
         main(["inspect", "--in", str(path)])
         assert "union_closed=false" in capsys.readouterr().out
+
+
+# Every case runs main() in order, with no results cache (None) or on one
+# fresh cache prefilled with the given records; the pin is sha256 over
+# each run's exit code, stdout and stderr, then the cache file as the case
+# left it.
+OUTPUT_CASES = {
+    "grid-tsv": (None, [["grid", "--model", "f", "--n", "1..4", "--param", "1..8"]]),
+    "grid-markdown": (
+        None,
+        [["grid", "--model", "g", "--n", "2..4", "--param", "1..9", "--format", "markdown"]],
+    ),
+    "grid-tsv-cache": ("", [["grid", "--model", "ft", "--n", "3..4", "--param", "3..8"]] * 2),
+    "grid-markdown-cache": (
+        "gt 3 6 4 solver\n",
+        [["grid", "--model", "gt", "--n", "3..4", "--param", "4..9", "--format", "markdown"]] * 2,
+    ),
+    "grid-budget-warning": (
+        None,
+        [["grid", "--model", "f", "--n", "4..5", "--param", "10..12", "--budget-nodes", "500"]],
+    ),
+    **{
+        f"verify-{check}": (
+            None,
+            [["verify", "--checks", check, "--grid-spec", "f:1..4:1..8", "--grid-spec", "g:1..4:1..10"]],
+        )
+        for check in ("reference", "properties", "stability", "falgas-ravry", "all")
+    },
+    "verify-budget-warning": (
+        "",
+        [["verify", "--grid-spec", "f:4..5:10..12", "--grid-spec", "g:3..4:2..9", "--budget-nodes", "500"]],
+    ),
+    "verify-failing-cache": (
+        "f 3 3 6 solver\n",
+        [["verify", "--checks", "reference,properties", "--grid-spec", "f:2..4:1..8"]] * 2,
+    ),
+}
+
+PINNED_OUTPUT_DIGESTS = {
+    "grid-budget-warning": "3e1a4d99b0a3d6d0608be7621198e147ccf7df176e567cbc42a644478c7279ab",
+    "grid-markdown": "40290986d67aad41b3302e4d768b85240511ca7781fa583b32f81cac695f2a40",
+    "grid-markdown-cache": "0bd72b10041aaa67a4f2d634edd1a1438281bdad6719df00d346ff6781798f76",
+    "grid-tsv": "4564d2f159fd002787763af9ed55ff1965fe8777c008ef7ec3d09a3c4f7d0b2a",
+    "grid-tsv-cache": "2f38720efb61a5428971f9d25ef8c5eca1929afe5514008790fea68949b96df8",
+    "verify-all": "2acc874f3fe586db3a967901456c5156d3574e5646c1e18596e353170af39eca",
+    "verify-budget-warning": "617d8014fc0d6d93f03e6b9ad7b358b8a9e33277ccf4c0c02b79353d49cdf95f",
+    "verify-failing-cache": "7ee1397d195873fa9f9bb98e305161f633247b38cde98e985c8e0fac1691e564",
+    "verify-falgas-ravry": "5297ddc4fa9077dd45085fb387939173be5d9ea61086bfca707ee7b0a7779182",
+    "verify-properties": "2cd531952e1589e9cf86fa61c4d16b3d63cd88fd40af3a23435719b1a4338c78",
+    "verify-reference": "339e36bda98dafeb89a39326fec17c597bbb10ee9d132400debca4e24c95207b",
+    "verify-stability": "97d2ba996811850ef9ad12118f89989f7f0fd19112ebdc50533e10414ebed00f",
+}
+
+
+def output_digest(cache_text, runs, cache, capsys):
+    flags = []
+    if cache_text is not None:
+        cache.write_text(cache_text)
+        flags = ["--cache", str(cache)]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = main(argv + flags)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
+    if flags:
+        digest.update(cache.read_bytes())
+    return digest.hexdigest()
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+    def test_output_pinned(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("FRANKLOPT_CACHE", raising=False)
+        cache_text, runs = OUTPUT_CASES[case]
+        got = output_digest(cache_text, runs, tmp_path / "cache.txt", capsys)
+        assert got == PINNED_OUTPUT_DIGESTS[case]

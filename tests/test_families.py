@@ -1,6 +1,9 @@
 import itertools
 import random
+import time
 import tracemalloc
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given
@@ -27,7 +30,6 @@ from franklopt.families import (
     remove_smallest_set,
     sort_by_frequency,
     twin_counts,
-    twin_pairs,
     union_closure,
 )
 
@@ -111,6 +113,13 @@ class TestUnionClosed:
             assert is_union_closed(fam) == uc_by_frozensets(fam)
 
 
+@st.composite
+def generator_lists(draw):
+    """n = 1..16 and up to 10 masks on [n], repeats allowed."""
+    n = draw(st.integers(1, MAX_GROUND_SET))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+
+
 class TestUnionClosure:
     def test_singletons_generate_nonempty_subsets(self):
         fam = make_family(3, [[1], [2], [3]])
@@ -137,6 +146,27 @@ class TestUnionClosure:
 
     def test_union_closed_input_unchanged(self):
         assert union_closure(INTRO) == INTRO
+
+    @given(generator_lists())
+    def test_unions_of_all_nonempty_generator_subsets(self, drawn):
+        n, generators = drawn
+        unions = {
+            reduce(or_, subset)
+            for k in range(1, len(generators) + 1)
+            for subset in itertools.combinations(generators, k)
+        }
+        assert union_closure(family_from_masks(n, generators)) == family_from_masks(n, unions)
+
+    def test_64_random_generators_at_n16_close_fast(self):
+        # the closure is linear in its size times the generators: about
+        # 2,100 sets here, closed in milliseconds
+        rng = random.Random(5)
+        fam = family_from_masks(16, [rng.getrandbits(16) for _ in range(64)])
+        start = time.perf_counter()
+        closed = union_closure(fam)
+        assert time.perf_counter() - start < 5.0
+        assert set(closed.sets) >= set(fam.sets)
+        assert is_union_closed(closed)
 
 
 class TestFrequencies:
@@ -174,36 +204,6 @@ def scan_twin_pairs(fam, e):
     return sorted(found)
 
 
-class TestTwinPairs:
-    def test_intro_element_2(self):
-        pairs = twin_pairs(INTRO, 2)
-        assert [(p.little, p.big) for p in pairs] == scan_twin_pairs(INTRO, 2)
-        assert len(pairs) == 1
-        assert elements_from_mask(pairs[0].little) == (1, 3)
-        assert pairs[0].trivial
-
-    def test_intro_element_1_empty(self):
-        assert twin_pairs(INTRO, 1) == []
-        assert scan_twin_pairs(INTRO, 1) == []
-
-    def test_power_set_element_1(self):
-        pairs = twin_pairs(power_set_family(3), 1)
-        assert len(pairs) == 4
-        assert sum(p.trivial for p in pairs) == 1
-
-    def test_element_out_of_range(self):
-        with pytest.raises(ValueError):
-            twin_pairs(INTRO, 4)
-
-    def test_consistency_on_all_union_closed_families_n3(self):
-        for fam in all_union_closed_families(3):
-            for e in (1, 2, 3):
-                got = [(p.little, p.big) for p in twin_pairs(fam, e)]
-                assert got == scan_twin_pairs(fam, e)
-                for p in twin_pairs(fam, e):
-                    assert p.trivial == (p.big == fam.full_mask)
-
-
 class TestMinNontrivialTwinCount:
     def test_intro(self):
         assert min_nontrivial_twin_count(INTRO) == 0
@@ -235,9 +235,9 @@ def assert_predicates_match_definitions(fam):
     freq = direct_frequencies(fam)
     assert frequencies(fam) == freq
     assert degree(fam) == max(freq, default=0)
-    elements = range(1, fam.n + 1)
-    total = tuple(len(twin_pairs(fam, e)) for e in elements)
-    nontrivial = tuple(sum(not p.trivial for p in twin_pairs(fam, e)) for e in elements)
+    pairs = [scan_twin_pairs(fam, e) for e in range(1, fam.n + 1)]
+    total = tuple(map(len, pairs))
+    nontrivial = tuple(sum(big != fam.full_mask for _, big in found) for found in pairs)
     assert twin_counts(fam) == (nontrivial, total)
     assert min_nontrivial_twin_count(fam) == min(nontrivial)
 
@@ -245,16 +245,18 @@ def assert_predicates_match_definitions(fam):
 @st.composite
 def families_with_generators(draw):
     """A family of up to 64 sets on [n], n = 1..16, and the union closure
-    of its first six drawn sets (at most 63 sets, so the closure stays
-    small at any n)."""
+    of its drawn sets: all of them for n <= 8 (at most 256 sets), the
+    first six above (at most 63 sets), so the quadratic reference checks
+    stay fast at any n."""
     n = draw(st.integers(1, MAX_GROUND_SET))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
-    return family_from_masks(n, masks), union_closure(family_from_masks(n, masks[:6]))
+    generators = masks if n <= 8 else masks[:6]
+    return family_from_masks(n, masks), union_closure(family_from_masks(n, generators))
 
 
 class TestPredicatesAgainstDefinitions:
     """The bitset predicates against their direct definitions: pairwise
-    unions, a per-set bit walk and the TwinPair objects."""
+    unions, a per-set bit walk and a quadratic scan for twin pairs."""
 
     @given(families_with_generators())
     def test_drawn_families_and_closures(self, drawn):
@@ -288,8 +290,8 @@ class TestPredicatesAgainstDefinitions:
         assert twin_counts(fam) == ((0,) * n, expected)
 
     def test_wide_power_set_memory(self):
-        # the counts build no TwinPair objects: one per pair would be
-        # 32,768 of them per element here
+        # the counts build no object per pair: there are 32,768 pairs
+        # per element here
         fam = power_set_family(16)
         tracemalloc.start()
         try:
@@ -355,7 +357,7 @@ class TestDeleteElement:
     def test_merge_count_equals_twin_pairs_on_all_uc_families_n3(self):
         for fam in all_union_closed_families(3):
             for e in (1, 2, 3):
-                k = len(twin_pairs(fam, e))
+                k = len(scan_twin_pairs(fam, e))
                 shrunk = delete_element(fam, e)
                 assert shrunk.m == fam.m - k
                 if fam.sets:
