@@ -1,8 +1,11 @@
 import hashlib
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from franklopt.families import family_from_masks, sort_by_frequency, union_closure
 from franklopt.lp import MAX_LINE, assignment_feasible, export, parse_lp, write_lp
@@ -32,6 +35,69 @@ PINNED_DIGESTS = {
     (ModelKind.FT, 8): "6a53a1cafe918cfd4a858bfb674fae1f18ecef051057e37e5f5ecf7dfd03d336",
     (ModelKind.GT, 8): "5c9d892a299afe838609e9b1e8cc0b76fe53ca17fec0b06f576fc48d88bd85e4",
 }
+
+# Reference: the reader's row grammar as it stood when rows were read one
+# regex match and one term scan at a time.  A row is accepted exactly when
+# this grammar matches it whole.
+_REF_TERM = r"(?:\d+\s+)?[xz]_\w+"
+_REF_TERMS = rf"(?:(?:[+-]\s+)?{_REF_TERM}(?:\s+[+-]\s+{_REF_TERM})*)?"
+_REF_ROW_RE = re.compile(rf"([A-Za-z]\w*):\s*({_REF_TERMS})\s*(<=|>=|=)\s*(-?\d+)")
+_REF_TERM_RE = re.compile(rf"[+-]?\s*{_REF_TERM}")
+
+
+def reference_row(line):
+    """(name, terms, sense, rhs) of a row line, or None if it is malformed."""
+    match = _REF_ROW_RE.fullmatch(line)
+    if match is None:
+        return None
+    name, body, sense, rhs = match.groups()
+    terms = []
+    for text in _REF_TERM_RE.findall(body):
+        *head, var = text.split()
+        coef = int(head[-1]) if head and head[-1].isdigit() else 1
+        terms.append((-coef if head and head[0] == "-" else coef, var))
+    return name, tuple(terms), sense, int(rhs)
+
+
+def row_fields(row):
+    return row.name, row.terms, row.sense, row.rhs
+
+
+ROW_NAMES = st.sampled_from(["r", "u", "tc", "deg_", "R", "_r", "9r", "r-"])
+SIGNS = st.sampled_from(["+", "-"])
+COEFFICIENTS = st.sampled_from(["1", "2", "17", "305"])
+VARIABLES = st.sampled_from(["x_0", "x_12", "z_3_e1", "z_1", "x_ab"])
+SENSES = st.sampled_from(["<=", ">=", "="])
+RHS = st.sampled_from(["0", "1", "-2", "40"])
+JUNK = st.sampled_from(
+    ["+", "-", "7", "x_", "y_1", "3x_1", "+-", "-x_1", "x_1+", "1.5", "r2:", "<=", "=<", "==", ":"]
+)
+
+
+@st.composite
+def row_lines(draw, index):
+    """A single-spaced row, well formed or broken by one token."""
+    tokens = []
+    for i in range(draw(st.integers(0, 5))):
+        if i or draw(st.booleans()):
+            tokens.append(draw(SIGNS))
+        if draw(st.booleans()):
+            tokens.append(draw(COEFFICIENTS))
+        tokens.append(draw(VARIABLES))
+    tokens += [draw(SENSES), draw(RHS)]
+    if draw(st.booleans()):
+        where = draw(st.integers(0, len(tokens) - 1))
+        if draw(st.booleans()):
+            del tokens[where]
+        else:
+            tokens.insert(where, draw(JUNK))
+    return " ".join([f"{draw(ROW_NAMES)}{index}:", *tokens])
+
+
+@st.composite
+def row_blocks(draw):
+    return [draw(row_lines(i)) for i in range(draw(st.integers(1, 3)))]
+
 
 N4_PARAMS = {
     ModelKind.F: (3, 5, 8),
@@ -176,6 +242,33 @@ class TestReader:
         parsed = parse_lp("Maximize\n obj: x_0\nSubject To\n r1: - x_0 + 3 x_1 >= -2\nEnd\n")
         assert parsed.rows[0].terms == ((-1, "x_0"), (3, "x_1"))
         assert (parsed.rows[0].sense, parsed.rows[0].rhs) == (">=", -2)
+
+    @given(row_blocks())
+    @settings(max_examples=300)
+    def test_rows_against_reference_grammar(self, lines):
+        text = "Maximize\n obj: x_0\nSubject To\n" + "".join(f" {l}\n" for l in lines) + "End\n"
+        expected = [reference_row(line) for line in lines]
+        if None in expected:
+            with pytest.raises(ValueError):
+                parse_lp(text)
+        else:
+            assert [row_fields(row) for row in parse_lp(text).rows] == expected
+
+    def test_reads_empty_body(self):
+        parsed = parse_lp("Maximize\n obj:\nSubject To\n r1: <= 1\nEnd\n")
+        assert parsed.objective == ()
+        assert row_fields(parsed.rows[0]) == ("r1", (), "<=", 1) == reference_row("r1: <= 1")
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_build_export_parse_equality(self, kind, n):
+        system = build(ModelInstance(kind, n, 3))
+        parsed = parse_lp(export(system).text)
+        assert parsed.maximize == system.maximize
+        assert parsed.objective == system.objective
+        assert parsed.rows == system.constraints
+        assert parsed.binaries == system.binaries
+        assert parsed.bounded == system.unit_interval
 
     def test_rejects_foreign_content(self):
         with pytest.raises(ValueError):
