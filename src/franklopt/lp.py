@@ -10,13 +10,31 @@ lines.
 
 ``parse_lp`` reads this dialect back, and only this dialect; it exists
 so round trips can be checked against the model builder, not to consume
-third-party files.
+third-party files.  It takes the layout the writer emits:
+
+- lines end in "\n"; a line may be indented by spaces, and nothing
+  follows its last token;
+- tokens are separated by single spaces, so "x_0  + x_1" (two spaces)
+  and "x_0 + x_1\t" are malformed;
+- blank lines, and comment lines (a backslash after optional spaces),
+  are skipped wherever they occur;
+- each section header stands alone on its line, each section appears
+  at most once (one objective, Maximize or Minimize), and reading stops
+  at "End";
+- in the objective and in Subject To, a line that does not open a named
+  row ("name:") continues the line above it;
+- row names are unique.
+
+Both directions work on whole sections: the writer renders each row from
+a per-document table of term texts, and the reader splits the document
+at its headers and matches each section's lines in one regex scan.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .families import elements_from_mask
 from .models import ConstraintSystem, Constraint
@@ -36,8 +54,10 @@ class LpDocument:
         return "\n".join(self.lines) + "\n"
 
 
-def _wrap(head: str, tokens: list[str], out: list[str]) -> None:
-    line = head
+def _wrap(line: str, out: list[str]) -> None:
+    """Append a row line, split onto continuation lines if longer than MAX_LINE."""
+    _, head, *tokens = line.split(" ")
+    line = " " + head
     for tok in tokens:
         if len(line) + 1 + len(tok) > MAX_LINE:
             out.append(line)
@@ -47,18 +67,17 @@ def _wrap(head: str, tokens: list[str], out: list[str]) -> None:
     out.append(line)
 
 
-def _term_tokens(terms) -> list[str]:
-    tokens: list[str] = []
-    for coef, var in terms:
-        if coef >= 0:
-            if tokens:
-                tokens.append("+")
-        else:
-            tokens.append("-")
-        if abs(coef) != 1:
-            tokens.append(str(abs(coef)))
-        tokens.append(var)
-    return tokens
+class _Tokens(dict):
+    """Term (coefficient, var) -> its text with sign: " + x_3", " - 2 z_1_e1".
+
+    One instance per document, so each distinct term is rendered once.
+    """
+
+    def __missing__(self, term):
+        coef, var = term
+        sign = "-" if coef < 0 else "+"
+        text = self[term] = f" {sign} {var}" if abs(coef) == 1 else f" {sign} {abs(coef)} {var}"
+        return text
 
 
 def export(system: ConstraintSystem) -> LpDocument:
@@ -78,11 +97,17 @@ def export(system: ConstraintSystem) -> LpDocument:
     else:
         lines.append("\\ x_<d> = subset whose characteristic bit pattern equals d")
 
+    # a body is its terms' texts joined; the first term carries no "+"
+    text = _Tokens().__getitem__
     lines.append("Maximize" if system.maximize else "Minimize")
-    _wrap(" obj:", _term_tokens(system.objective), lines)
+    _wrap(f" obj:{''.join(map(text, system.objective)).removeprefix(' +')}", lines)
     lines.append("Subject To")
-    for row in system.constraints:
-        _wrap(f" {row.name}:", _term_tokens(row.terms) + [row.sense, str(row.rhs)], lines)
+    for name, terms, sense, rhs in system.constraints:
+        line = f" {name}:{''.join(map(text, terms)).removeprefix(' +')} {sense} {rhs}"
+        if len(line) > MAX_LINE:
+            _wrap(line, lines)
+        else:
+            lines.append(line)
     if system.unit_interval:
         lines.append("Bounds")
         for var in system.unit_interval:
@@ -111,97 +136,132 @@ class ParsedLp:
     binaries: tuple[str, ...]
 
 
-# One term is [coef] var; every term but the first follows a + or - sign.
-_TERM = r"(?:\d+\s+)?[xz]_\w+"
-_TERMS = rf"(?:(?:[+-]\s+)?{_TERM}(?:\s+[+-]\s+{_TERM})*)?"
-_ROW_START_RE = re.compile(r"[A-Za-z]\w*:")
-_ROW_RE = re.compile(rf"([A-Za-z]\w*):\s*({_TERMS})\s*(<=|>=|=)\s*(-?\d+)")
-_OBJECTIVE_RE = re.compile(rf"([A-Za-z]\w*):\s*({_TERMS})")
-_TERM_RE = re.compile(rf"[+-]?\s*{_TERM}")
-_SECTIONS = {
-    "Maximize": "objective",
-    "Minimize": "objective",
-    "Subject To": "rows",
-    "Bounds": "bounds",
-    "Binary": "binary",
-}
+# Every line of a section body, the first one included, starts with "\n":
+# the reader puts one in front of the document, and the header split
+# leaves one in front of each line that follows a header.
+_SKIP_RE = re.compile(r"\n *(?:\\.*)?(?=\n|\Z)")
+_HEADER_RE = re.compile(r"\n *(Maximize|Minimize|Subject To|Bounds|Binary|End)(?=\n|\Z)")
+_CONTINUATION_RE = re.compile(r"\n(?! *[A-Za-z]\w*:) *")
+_OBJECTIVE_LINE_RE = re.compile(r"\n *[A-Za-z]\w*:(?: (.+))?")
+_ROW_LINE_RE = re.compile(r"\n *([A-Za-z]\w*):(?: (.+))? (<=|>=|=) (-?\d+)(?=\n|\Z)")
+_BOUND_LINE_RE = re.compile(r"\n *0 <= (\S+) <= 1(?=\n|\Z)")
+# One term of a body split by _Terms.of: only the first may lack a sign.
+_ONE_TERM_RE = re.compile(r"(?:([+-]) )?(?:(\d+) )?([xz]_\w+)")
 
 
 class _Terms(dict):
     """Term text ("x_3", "- x_5", "+ 2 z_1_e1") -> (coefficient, var).
 
-    One instance per document, so equal terms are one shared object.
+    One instance per document, so equal terms are one shared object.  A
+    text met for the first time must match the one-term grammar.
     """
 
     def __missing__(self, text):
-        *head, var = text.split()
-        coef = int(head[-1]) if head and head[-1].isdigit() else 1
-        term = self[text] = (-coef if head and head[0] == "-" else coef, var)
+        match = _ONE_TERM_RE.fullmatch(text)
+        if match is None:
+            raise ValueError(f"malformed term: {text}")
+        sign, coef, var = match.groups()
+        coef = int(coef) if coef else 1
+        term = self[text] = (-coef if sign == "-" else coef, var)
         return term
 
-    def of(self, body: str) -> tuple[tuple[int, str], ...]:
-        """The terms of a body that matched ``_TERMS``."""
-        return tuple(map(self.__getitem__, _TERM_RE.findall(body)))
+    def of(self, body: str | None) -> tuple[tuple[int, str], ...]:
+        """The terms of a row body, cut in front of each " + " and " - ".
+
+        Every piece after the first starts with its sign, so a piece
+        without one, or with two, fails the one-term grammar.
+        """
+        if body is None:
+            return ()
+        pieces = body.replace(" + ", "\n+ ").replace(" - ", "\n- ").split("\n")
+        return (*map(self.__getitem__, pieces),)  # faster than tuple(map(...))
+
+
+def _sections(text: str) -> tuple[bool, dict[str, str]]:
+    """Split a document at its section headers.
+
+    Returns whether it maximizes, and each section's body by header.
+    """
+    preamble, *parts = _HEADER_RE.split(_SKIP_RE.sub("", "\n" + text))
+    if preamble:
+        line = preamble[1:].partition("\n")[0]
+        raise ValueError(f"line outside any section: {line.strip()}")
+    sections: dict[str, str] = {}
+    maximize = None
+    for header, body in zip(parts[::2], parts[1::2]):
+        if header == "End":
+            break
+        if header in ("Maximize", "Minimize"):
+            if maximize is not None:
+                raise ValueError(f"repeated section: {header} after another objective")
+            maximize = header == "Maximize"
+        elif header in sections:
+            raise ValueError(f"repeated section: {header}")
+        sections[header] = body
+    if maximize is None:
+        raise ValueError("missing objective section")
+    return maximize, sections
+
+
+def _rows(body: str, terms: _Terms) -> list[Constraint]:
+    """The rows of a Subject To body.
+
+    One substitution joins the continuation lines and one regex scan
+    reads the rows.  ``_ROW_LINE_RE`` matches whole lines only, so a line
+    it skips shows as a short count; on any failure a rescan names the
+    first malformed line.
+    """
+    body = _CONTINUATION_RE.sub(" ", body)
+    if body[:1] == " ":  # the first line did not open a row
+        line = body.partition("\n")[0]
+        raise ValueError(f"continuation line before any row: {line.strip()}")
+    try:
+        rows = [
+            Constraint(name, terms.of(text), sense, int(rhs))
+            for name, text, sense, rhs in map(re.Match.groups, _ROW_LINE_RE.finditer(body))
+        ]
+    except ValueError:  # a malformed term
+        rows = None
+    if rows is not None and len(rows) == body.count("\n"):
+        return rows
+    for line in body.split("\n")[1:]:
+        match = _ROW_LINE_RE.fullmatch("\n" + line)
+        if match is not None:
+            try:
+                terms.of(match[2])
+                continue
+            except ValueError:
+                pass
+        raise ValueError(f"malformed row: {line.strip()}")
+    raise AssertionError("a failed scan left no malformed row")
 
 
 def parse_lp(text: str) -> ParsedLp:
     """Read a document in this dialect; anything else raises ValueError."""
-    section = None
-    maximize = None
-    objective_lines: list[str] = []
-    row_lines: list[str] = []
-    bounded: list[str] = []
-    binaries: list[str] = []
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line[0] == "\\":
-            continue
-        if line in _SECTIONS:
-            section = _SECTIONS[line]
-            if section == "objective":
-                maximize = line == "Maximize"
-            continue
-        if line == "End":
-            break
-        if section == "objective":
-            objective_lines.append(line)
-        elif section == "rows":
-            if _ROW_START_RE.match(line):
-                row_lines.append(line)
-            elif row_lines:
-                row_lines[-1] += " " + line  # continuation line
-            else:
-                raise ValueError(f"continuation line before any row: {line}")
-        elif section == "bounds":
-            tokens = line.split()
-            if len(tokens) != 5 or tokens[0] != "0" or tokens[4] != "1":
-                raise ValueError(f"unsupported bounds line: {line}")
-            bounded.append(tokens[2])
-        elif section == "binary":
-            binaries.extend(line.split())
-        else:
-            raise ValueError(f"line outside any section: {line}")
-
-    if maximize is None:
-        raise ValueError("missing objective section")
+    maximize, sections = _sections(text)
     terms = _Terms()
-    obj_terms: tuple[tuple[int, str], ...] = ()
-    if objective_lines:
-        match = _OBJECTIVE_RE.fullmatch(" ".join(objective_lines))
+    objective = ()
+    body = _CONTINUATION_RE.sub(" ", sections.pop("Maximize" if maximize else "Minimize"))
+    if body:
+        match = _OBJECTIVE_LINE_RE.fullmatch(body)
         if match is None:
             raise ValueError("objective must be named and hold terms only")
-        obj_terms = terms.of(match[2])
+        objective = terms.of(match[1])
 
-    rows = []
-    for line in row_lines:
-        match = _ROW_RE.fullmatch(line)
-        if match is None:
-            raise ValueError(f"malformed row: {line}")
-        name, body, sense, rhs = match.groups()
-        rows.append(Constraint(name, terms.of(body), sense, int(rhs)))
+    # popped, so that each section's text is freed once it is read
+    rows = _rows(sections.pop("Subject To", ""), terms)
+    if len(set(map(itemgetter(0), rows))) != len(rows):
+        seen: set[str] = set()
+        name = next(row.name for row in rows if row.name in seen or seen.add(row.name))
+        raise ValueError(f"duplicate row name: {name}")
 
-    return ParsedLp(maximize, obj_terms, tuple(rows), tuple(bounded), tuple(binaries))
+    body = sections.pop("Bounds", "")
+    bounded = tuple(m[1] for m in _BOUND_LINE_RE.finditer(body))
+    if len(bounded) != body.count("\n"):
+        line = next(l for l in body.split("\n")[1:] if not _BOUND_LINE_RE.fullmatch("\n" + l))
+        raise ValueError(f"unsupported bounds line: {line.strip()}")
+    binaries = tuple(sections.pop("Binary", "").split())
+    return ParsedLp(maximize, objective, tuple(rows), bounded, binaries)
 
 
 def assignment_feasible(parsed: ParsedLp, x_values: dict[str, int]) -> bool:
@@ -209,28 +269,31 @@ def assignment_feasible(parsed: ParsedLp, x_values: dict[str, int]) -> bool:
 
     Continuous z variables are set to their largest value allowed by the
     link rows (min of the linked x values, capped at 1), which is optimal
-    for the cover rows.
+    for the cover rows.  A row variable that is neither in ``x_values``
+    nor bounded in the document raises ValueError.
     """
     z_cap: dict[str, int] = {var: 1 for var in parsed.bounded}
     pure_rows = []
     z_rows = []
-    for row in parsed.rows:
-        z_terms = [(c, v) for c, v in row.terms if v.startswith("z_")]
-        if not z_terms:
-            pure_rows.append(row)
-        elif len(row.terms) == 2 and row.sense == "<=" and row.rhs == 0:
-            (zc, zv), (xc, xv) = (
-                row.terms if row.terms[0][1].startswith("z_") else row.terms[::-1]
-            )
-            if zc != 1 or xc != -1:
-                raise ValueError(f"unsupported link row {row.name}")
-            z_cap[zv] = min(z_cap[zv], x_values[xv])
-        else:
-            z_rows.append(row)
+    try:
+        for row in parsed.rows:
+            z_terms = [(c, v) for c, v in row.terms if v.startswith("z_")]
+            if not z_terms:
+                pure_rows.append(row)
+            elif len(row.terms) == 2 and row.sense == "<=" and row.rhs == 0:
+                (zc, zv), (xc, xv) = (
+                    row.terms if row.terms[0][1].startswith("z_") else row.terms[::-1]
+                )
+                if zc != 1 or xc != -1:
+                    raise ValueError(f"unsupported link row {row.name}")
+                z_cap[zv] = min(z_cap[zv], x_values[xv])
+            else:
+                z_rows.append(row)
 
-    for row in pure_rows:
-        if not row.evaluate(x_values):
+        if not all(row.evaluate(x_values) for row in pure_rows):
             return False
-    values = dict(x_values)
-    values.update(z_cap)
-    return all(row.evaluate(values) for row in z_rows)
+        values = dict(x_values)
+        values.update(z_cap)
+        return all(row.evaluate(values) for row in z_rows)
+    except KeyError as exc:
+        raise ValueError(f"no value for variable {exc.args[0]}: not in x_values or Bounds") from None

@@ -15,9 +15,9 @@ directly; tests hold the rows to the same conditions.
 The union rows and the twin rows depend on n alone.  Each block is
 built once per n and shared by every system of that size, whatever its
 kind or parameter, down to one string object per variable name.
-Sharing is safe because every row is a frozen Constraint whose terms
-are tuples, so no system can change a row another one holds.  Only the
-deg, ord and card rows and the objective are made per build.
+Sharing is safe because every row is a Constraint, a named tuple whose
+terms are tuples, so no system can change a row another one holds.  Only
+the deg, ord and card rows and the objective are made per build.
 
 Variable naming: ``x_<d>`` is the 0/1 indicator of the subset whose bit
 pattern has decimal value d; ``z_<d>_e<k>`` is the twin link variable for
@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import Family, MAX_GROUND_SET, frequencies, is_union_closed, twin_counts
 
@@ -80,8 +81,11 @@ def var_z(little: int, e: int) -> str:
     return f"z_{little}_e{e}"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
+    """One row: the sum of coefficient * variable over ``terms``, compared
+    with ``rhs`` by ``sense``.  A named tuple, so it is immutable and cheap
+    to build by the hundred thousand (the LP reader makes one per row)."""
+
     name: str
     terms: tuple[tuple[int, str], ...]
     sense: str  # "<=", ">=", "="
@@ -104,9 +108,6 @@ class ConstraintSystem:
     constraints: tuple[Constraint, ...]
     binaries: tuple[str, ...]  # 0/1 set variables
     unit_interval: tuple[str, ...]  # continuous twin variables in [0, 1]
-
-    def by_prefix(self, prefix: str) -> list[Constraint]:
-        return [c for c in self.constraints if c.name.startswith(prefix)]
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,8 +232,8 @@ class TestReader:
 
     @pytest.mark.parametrize(
         "row",
-        ["x_0 + x_1 <= 1 x_1", "x_0 + 3 <= 1", "x_0 x_1 <= 1", "x_0 + x_1 <="],
-        ids=["token-after-rhs", "dangling-coefficient", "missing-operator", "missing-rhs"],
+        ["x_0 + x_1 <= 1 x_1", "x_0 + 3 <= 1", "x_0 x_1 <= 1", "x_0 + x_1 <=", "x_0  + x_1 <= 1"],
+        ids=["token-after-rhs", "dangling-coefficient", "missing-operator", "missing-rhs", "two-spaces"],
     )
     def test_rejects_malformed_row(self, row):
         with pytest.raises(ValueError, match="malformed row"):
@@ -273,3 +274,58 @@ class TestReader:
     def test_rejects_foreign_content(self):
         with pytest.raises(ValueError):
             parse_lp("Garbage\n x + y <= 1\nEnd\n")
+
+    def test_skips_blank_and_comment_lines_anywhere(self):
+        text = "\\ head\nMaximize\n\n obj: x_0\n \\ note\nSubject To\n r1: x_0\n\n   + x_1 <= 1\nEnd\n"
+        parsed = parse_lp(text)
+        assert parsed.objective == ((1, "x_0"),)
+        assert [row_fields(row) for row in parsed.rows] == [("r1", ((1, "x_0"), (1, "x_1")), "<=", 1)]
+
+    def test_rejects_continuation_before_any_row(self):
+        with pytest.raises(ValueError, match="continuation line before any row: x_0 <= 1"):
+            parse_lp("Maximize\n obj: x_0\nSubject To\n   x_0 <= 1\nEnd\n")
+
+    @pytest.mark.parametrize(
+        "sections,message",
+        [
+            ("Subject To\n r1: x_0 <= 1\nSubject To\n r1: x_1 <= 1\n", "repeated section: Subject To"),
+            ("Minimize\n obj: x_1\n", "repeated section: Minimize"),
+            ("Binary\n x_0\nBinary\n x_1\n", "repeated section: Binary"),
+            ("Subject To\n r1: x_0 <= 1\n r2: x_1 <= 1\n r1: x_1 >= 0\n", "duplicate row name: r1"),
+        ],
+        ids=["rows", "objective", "binary", "duplicate-row"],
+    )
+    def test_rejects_repeated_sections_and_rows(self, sections, message):
+        with pytest.raises(ValueError, match=message):
+            parse_lp(f"Maximize\n obj: x_0\n{sections}End\n")
+
+    def test_reading_stops_at_end(self):
+        parsed = parse_lp("Maximize\n obj: x_0\nEnd\nSubject To\n r1: x_0 <= 1\n")
+        assert parsed.rows == ()
+
+    def test_parse_memory(self):
+        # the largest certify document: gt(8,8), 1.02 MB of text.  Rows are
+        # read from one streamed regex scan; collecting every match first
+        # would hold a second copy of the section's rows.
+        system = build(ModelInstance(ModelKind.GT, 8, 8))
+        text = export(system).text
+        tracemalloc.start()
+        try:
+            parsed = parse_lp(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.rows) == len(system.constraints)
+        assert peak < 14 * 2**20
+
+
+class TestAssignmentFeasible:
+    def test_link_row_variable_without_bounds(self):
+        parsed = parse_lp("Maximize\n obj: x_0\nSubject To\n tl1: z_0_e1 - x_0 <= 0\nEnd\n")
+        with pytest.raises(ValueError, match="z_0_e1"):
+            assignment_feasible(parsed, {"x_0": 1})
+
+    def test_row_variable_missing_from_assignment(self):
+        parsed = parse_lp("Maximize\n obj: x_0\nSubject To\n r1: x_0 + x_9 <= 1\nEnd\n")
+        with pytest.raises(ValueError, match="x_9"):
+            assignment_feasible(parsed, {"x_0": 1})
