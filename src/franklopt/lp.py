@@ -168,8 +168,9 @@ class _Terms(dict):
     def of(self, body: str | None) -> tuple[tuple[int, str], ...]:
         """The terms of a row body, cut in front of each " + " and " - ".
 
-        Every piece after the first starts with its sign, so a piece
-        without one, or with two, fails the one-term grammar.
+        Every piece after the first starts with the sign it was cut at,
+        and the one-term grammar allows one sign at most, so a missing
+        operator or a doubled sign leaves a piece that fails it.
         """
         if body is None:
             return ()
@@ -290,8 +291,9 @@ def assignment_feasible(parsed: ParsedLp, x_values: dict[str, int]) -> bool:
             else:
                 z_rows.append(row)
 
-        if not all(row.evaluate(x_values) for row in pure_rows):
-            return False
+        for row in pure_rows:
+            if not row.evaluate(x_values):
+                return False
         values = dict(x_values)
         values.update(z_cap)
         return all(row.evaluate(values) for row in z_rows)
