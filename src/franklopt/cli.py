@@ -5,8 +5,9 @@ printed with parameter rows and ground-set-size columns so they can be
 eyeballed against the published tables; infeasible cells print "-".
 
 Exit codes: 0 success, 1 failed checks or no value to report (infeasible
-or budget-aborted solve), 2 usage errors and results caches with a
-malformed record.  FRANKLOPT_CACHE sets the default results-cache path
+or budget-aborted solve), 2 usage errors (a missing, unreadable or
+malformed family file included) and results caches with a malformed
+record.  FRANKLOPT_CACHE sets the default results-cache path
 for grid and verify.
 """
 
@@ -18,6 +19,7 @@ import sys
 
 from .families import (
     MAX_GROUND_SET,
+    Family,
     degree,
     family_to_text,
     frequencies,
@@ -86,6 +88,15 @@ def _grid_spec(text: str):
         return ModelKind(model), _range_of(_ground_size)(ns), _range_of(_positive)(params)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad --grid-spec {text!r}; expected model:A..B:C..D")
+
+
+def _family_file(path: str) -> Family:
+    try:
+        return read_family(path)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc.strerror}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}")
 
 
 def _checks(text: str) -> tuple[str, ...]:
@@ -213,13 +224,12 @@ def cmd_export_lp(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    fam = read_family(args.infile)
-    sys.stdout.write(family_to_text(union_closure(fam)))
+    sys.stdout.write(family_to_text(union_closure(args.family)))
     return 0
 
 
 def cmd_inspect(args) -> int:
-    fam = read_family(args.infile)
+    fam = args.family
     deg = degree(fam)
     print(
         f"m={fam.m} n={fam.n} degree={deg} ratio={deg}/{fam.m} "
@@ -285,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_lp)
 
     p = sub.add_parser("closure", help="union closure of a family file")
-    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--in", dest="family", type=_family_file, required=True, metavar="PATH")
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("inspect", help="statistics of a family file")
-    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--in", dest="family", type=_family_file, required=True, metavar="PATH")
     p.set_defaults(func=cmd_inspect)
 
     return parser

@@ -42,7 +42,11 @@ The search is one non-recursive loop over a depth counter, for all four
 kinds: the objective sets the degree cap, the set count a branch must
 still reach, the leaf, the root bound at which the search stops early,
 and the child order (include first when maximizing, exclude first when
-minimizing).
+minimizing).  Every node closes in one step that counts why: by a cut,
+``count`` (G/GT: fewer available sets than the set count still needs),
+``scan`` (the per-element scan), ``bound`` (the capacity bound), ``cover``
+(a G/GT leaf with no twin cover) or ``refused`` (the last child's
+inclusion is refused), as a leaf, or with both children tried.
 
 Each solve is one run of that loop in one process, so runs are fully
 deterministic, including the witness and the node count.
@@ -87,27 +91,23 @@ class SearchBudget:
 
 UNLIMITED = SearchBudget()
 
+CUTS = ("count", "scan", "bound", "cover", "refused")
+
 
 @dataclass
 class SearchStats:
-    """Cost of one solve.
-
-    ``nodes`` counts the search-tree nodes visited, the root included;
-    the node budget is checked against it.  ``propagations`` counts two
-    prunes only: a node cut by the per-element scan (degree cap, symmetry,
-    the tied-label tie-break, or, for the twin kinds, an element with no
-    live twin pair), once per node whatever cut it, and an inclusion
-    refused because the set is blocked or would break the degree cap.
-    It does not count nodes cut by the set-count test or the capacity
-    bound, the closure counts in it included, nor leaves the twin cover
-    rejects; where the pair closure lowers an element's available count,
-    a cut that follows in the scan is counted.  ``seconds`` is the wall
-    time of the search, tables included.
+    """Cost of one solve: ``nodes`` counts the search-tree nodes visited,
+    the root included, and is checked against the node budget; ``cuts``
+    counts the nodes closed by each cut in ``CUTS``.
     """
 
     nodes: int = 0
-    propagations: int = 0
-    seconds: float = 0.0
+    cuts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CUTS, 0))
+
+    @property
+    def propagations(self) -> int:
+        """Nodes closed by a cut."""
+        return sum(self.cuts.values())
 
 
 @dataclass(frozen=True)
@@ -198,12 +198,13 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
         )
 
     monotonic = time.monotonic
-    nodes = props = 0
-    depth = 0
-    # visit False: the node at `depth` is done, undo the decision above it
-    visit = True
+    # `closed`: 0 while the node at `depth` is open, then why it closed;
+    # the next pass counts that and undoes the decision above the node
+    count, scan, bound, cover, refused, leaf, done = range(1, 8)  # CUTS first
+    cuts = [0] * 8
+    nodes = depth = closed = 0
     while True:
-        if visit:
+        if not closed:
             nodes += 1
             if nodes > max_nodes or not nodes & 1023 and monotonic() > deadline:
                 aborted = True
@@ -221,7 +222,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             inc = every ^ undec ^ outbits
             need = goal - inc.bit_count()
             if need > n_avail and not maximize:  # before the scan, unlike `k < need`
-                visit = False
+                closed = count
                 continue
             caps_left = 0
             limit = n_avail
@@ -249,7 +250,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 # a twin kind needs, at each element, a pair (S, S+e) whose
                 # twins can both still join
                 if reach < d or twin and not littles[i] & live & live >> (1 << i):
-                    visit = False
+                    closed = scan
                     break
                 r = (avail & with_elem[i]).bit_count()
                 if close:
@@ -268,8 +269,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 avoid = room + n_avail - r
                 if avoid < limit:
                     limit = avoid
-            if not visit:
-                props += 1
+            if closed:
                 continue
             # capacity bound: the cheapest available sets that still fit,
             # over the cardinalities still undecided; the empty set is free.
@@ -293,27 +293,28 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             if k > limit:
                 k = limit
             if k < need:
-                visit = False
+                closed = bound
                 continue
             if depth == size if maximize else need == 0:
-                visit = False
                 if maximize:
                     best = inc.bit_count()
                     goal = best + 1
                 else:
                     # every element needs a pair with both twins in
                     if twin and not all(s & inc & inc >> (1 << e) for e, s in enumerate(littles)):
+                        closed = cover
                         continue
                     best = max(deg)
                     cap = best - 1
                 best_masks = tuple(m for m in range(size) if inc >> m & 1)
                 if best == target:
                     break
+                closed = leaf
                 continue
             mask = order[depth]
             include = maximize
-            second = True  # an untried child remains
         else:
+            cuts[closed] += 1
             if depth == 0:
                 break
             depth -= 1
@@ -328,8 +329,9 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 outbits ^= 1 << mask
                 include = True
             if include == maximize:
-                continue  # both children tried
-            second = False
+                closed = done
+                continue
+            closed = 0
             if include:  # deg is back to the node's, but cap may have dropped
                 capped = 0
                 for i in range(n):
@@ -339,9 +341,8 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
             # decision order makes every union of mask with an included set
             # already decided, so closure holds unless mask is blocked
             if blocked >> mask & 1 or mask & capped:
-                props += 1
-                if not second:
-                    visit = False
+                if not maximize:  # the include is the last child to try
+                    closed = refused
                     continue
                 include = False  # a refused inclusion leaves the exclusion
         trail.append((blocked, tie))
@@ -356,9 +357,8 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
         if mask & ~mask >> 1 & labels & ~tie:  # mask settles a pair
             tie = _settle(tie, mask, outbits, n, first_out)
         depth += 1
-        visit = True
 
-    stats = SearchStats(nodes, props, time.monotonic() - started)
+    stats = SearchStats(nodes, dict(zip(CUTS, cuts[1:])))
     witness = None
     if best_masks is not None:
         witness = Family(n, best_masks)
@@ -480,7 +480,6 @@ def exhaustive_oracle(inst: ModelInstance) -> SolveOutcome:
     """Reference optimum by complete enumeration; only for n <= 4."""
     if inst.n > 4:
         raise ValueError(f"exhaustive oracle supports n <= 4, got n={inst.n}")
-    started = time.monotonic()
     catalog = _family_catalog(inst.n)
     kind, param = inst.kind, inst.param
     need_cover = kind.twin
@@ -496,7 +495,7 @@ def exhaustive_oracle(inst: ModelInstance) -> SolveOutcome:
             if m == param and (cover or not need_cover):
                 if best is None or deg < best:
                     best, best_masks = deg, masks
-    stats = SearchStats(nodes=len(catalog), seconds=time.monotonic() - started)
+    stats = SearchStats(nodes=len(catalog))
     if best is None:
         return SolveOutcome(Status.INFEASIBLE, stats=stats)
     witness = Family(inst.n, best_masks)

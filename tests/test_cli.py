@@ -235,6 +235,22 @@ class TestClosureInspect:
         main(["inspect", "--in", str(path)])
         assert "union_closed=false" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text", ["n=3\n1,4\n", "n=3\n1,2\n2,1\n", None], ids=["out-of-range", "duplicate", "missing"]
+    )
+    @pytest.mark.parametrize("command", ["closure", "inspect"])
+    def test_bad_family_file_usage_error(self, tmp_path, command, text, capsys):
+        path = tmp_path / "bad.fam"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--in", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = [line for line in captured.err.splitlines() if str(path) in line]
+        assert len(named) == 1 and "error:" in named[0]
+
 
 # Every case runs main() in order, with no results cache (None) or on one
 # fresh cache prefilled with the given records; the pin is sha256 over

@@ -16,6 +16,7 @@ from franklopt.models import (
     objective_value,
 )
 from franklopt.solver import (
+    CUTS,
     SearchBudget,
     Status,
     _block,
@@ -50,17 +51,22 @@ def search_fingerprint(kind, n, param):
     search it took to get there."""
     out = solve(inst(kind, n, param))
     masks = " ".join(map(str, out.witness.sets)) if out.witness else "-"
+    cuts = " ".join(str(out.stats.cuts[reason]) for reason in CUTS)
     return (
         f"{kind} {n} {param} {out.status.value} {out.value} "
-        f"{out.stats.nodes} {out.stats.propagations} {masks}"
+        f"{out.stats.nodes} {cuts} {masks}"
     )
+
+
+COUNT_COLUMNS = ("nodes",) + CUTS
 
 
 def split_fingerprint(line):
     """The answer columns (kind, n, param, status, value, witness) and the
-    count columns (nodes, propagations) of one golden line."""
+    count columns (COUNT_COLUMNS) of one golden line."""
     cols = line.split()
-    return cols[:5] + cols[7:], cols[5:7]
+    end = 5 + len(COUNT_COLUMNS)
+    return cols[:5] + cols[end:], cols[5:end]
 
 
 class TestSolveKnownValues:
@@ -154,6 +160,33 @@ class TestSearchPinned:
         assert not answers, answers[:5]
         counts = [(g, e) for g, e in zip(got, expected) if g[1] != e[1]]
         assert not counts, counts[:5]
+
+
+class TestCutReasons:
+    @pytest.mark.parametrize(
+        "kind,n,param,nodes,cuts",
+        [
+            ("g", 2, 5, 1, {"count": 1}),  # m > 2^n, cut at the root
+            ("ft", 1, 3, 1, {"scan": 1}),
+            ("f", 3, 3, 21, {"scan": 2, "bound": 6}),
+            ("gt", 5, 6, 2552, {"count": 15, "scan": 945, "bound": 5, "cover": 216, "refused": 191}),
+        ],
+    )
+    def test_tiny_cells(self, kind, n, param, nodes, cuts):
+        stats = solve(inst(kind, n, param)).stats
+        assert stats.nodes == nodes
+        assert stats.cuts == {reason: cuts.get(reason, 0) for reason in CUTS}
+
+    def test_every_reason_fires_on_some_golden_cell(self):
+        fired = dict.fromkeys(CUTS, 0)
+        for cell in pinned_cells():
+            stats = solve(inst(*cell)).stats
+            assert list(stats.cuts) == list(CUTS), cell
+            assert stats.propagations == sum(stats.cuts.values()), cell
+            assert stats.propagations <= stats.nodes, cell
+            for reason, count in stats.cuts.items():
+                fired[reason] += count > 0
+        assert all(fired.values()), fired
 
 
 def naive_blocked(included, excluded, size):
@@ -313,7 +346,7 @@ class TestDeterminismAndWorkers:
         a, b = solve(problem), solve(problem)
         assert a.value == b.value
         assert a.witness == b.witness
-        assert a.stats.nodes == b.stats.nodes
+        assert a.stats == b.stats
 
     def test_workers_other_than_one_rejected(self):
         # a solve is one serial search; grids fan cells out instead
@@ -332,6 +365,16 @@ class TestBudget:
         problem = inst("f", 5, 12)
         assert check_feasible(problem, out.incumbent_witness).feasible
         assert objective_value(problem, out.incumbent_witness) == out.incumbent_value
+
+    def test_aborted_reports_cuts_so_far(self):
+        # the aborted search is a prefix of the complete one, and the node
+        # it stopped at is still open
+        problem = inst("f", 5, 12)
+        aborted = solve(problem, SearchBudget(max_nodes=2000)).stats
+        full = solve(problem).stats
+        assert aborted.nodes == 2001
+        assert 0 < aborted.propagations == sum(aborted.cuts.values()) < aborted.nodes
+        assert all(aborted.cuts[reason] <= full.cuts[reason] for reason in CUTS)
 
     def test_infeasible_detected_before_budget(self):
         out = solve(inst("g", 4, 17), SearchBudget(max_nodes=10))
@@ -365,21 +408,23 @@ class TestBudget:
 
 
 def count_totals(old_lines, new_lines):
-    """Per kind, the nodes and propagations summed over the cells both
-    golden lists hold, old -> new, then the cells only the new one holds."""
+    """Per kind, each count column summed over the cells both golden lists
+    hold, old -> new, then the cells only the new one holds."""
     old = {tuple(a[:3]): c for a, c in map(split_fingerprint, old_lines)}
     sums, added = {}, []
-    for answer, (nodes, props) in map(split_fingerprint, new_lines):
+    for answer, counts in map(split_fingerprint, new_lines):
         cell = tuple(answer[:3])
         if cell not in old:
-            added.append(f"new: {cell_name(*cell)} nodes {nodes}, propagations {props}")
+            listed = ", ".join(f"{name} {c}" for name, c in zip(COUNT_COLUMNS, counts))
+            added.append(f"new: {cell_name(*cell)} {listed}")
             continue
-        total = sums.setdefault(cell[0], [0, 0, 0, 0])
-        for j, count in enumerate((old[cell][0], nodes, old[cell][1], props)):
-            total[j] += int(count)
+        total = sums.setdefault(cell[0], [[0, 0] for _ in COUNT_COLUMNS])
+        for pair, a, b in zip(total, old[cell], counts):
+            pair[0] += int(a)
+            pair[1] += int(b)
     return [
-        f"{kind}: nodes {a} -> {b}, propagations {c} -> {d}"
-        for kind, (a, b, c, d) in sorted(sums.items())
+        f"{kind}: " + ", ".join(f"{name} {a} -> {b}" for name, (a, b) in zip(COUNT_COLUMNS, total))
+        for kind, total in sorted(sums.items())
     ] + added
 
 
