@@ -6,9 +6,10 @@ eyeballed against the published tables; infeasible cells print "-".
 
 Exit codes: 0 success, 1 failed checks or no value to report (infeasible
 or budget-aborted solve), 2 usage errors (a missing, unreadable or
-malformed family file included) and results caches with a malformed
-record.  FRANKLOPT_CACHE sets the default results-cache path
-for grid and verify.
+malformed family file included), results caches with a malformed record,
+and files that cannot be read or written (a witness, LP or cache path in
+a missing directory, say), each reported as one error line.
+FRANKLOPT_CACHE sets the default results-cache path for grid and verify.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except verify_mod.CacheError as exc:
+    except (verify_mod.CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,20 +118,22 @@ def union_closure(fam: Family) -> Family:
     return Family(fam.n, tuple(sorted(closed)))
 
 
+def _subsets(t: int) -> int:
+    """Bitset over masks of the subsets of t: bit s is set iff s & t == s."""
+    bits = 1
+    while t:
+        low = t & -t
+        bits |= bits << low
+        t ^= low
+    return bits
+
+
 @cache
 def _with_element(n: int) -> tuple[int, ...]:
-    """Per element k+1 of [n], the bitset over masks of the masks holding it.
-
-    Mask s holds element k+1 iff bit k of s is set, so over s = 0..2^n-1
-    the bitset repeats a period of 2^k zeros then 2^k ones.
-    """
-    out = []
-    for k in range(n):
-        half = 1 << k
-        # one bit at the start of each 2*half-bit period
-        starts = ((1 << (1 << n)) - 1) // ((1 << 2 * half) - 1)
-        out.append(starts * (((1 << half) - 1) << half))
-    return tuple(out)
+    """Per element k+1 of [n], the bitset over masks of the masks holding
+    it: the subsets of the other elements, each with bit k added."""
+    full = (1 << n) - 1
+    return tuple(_subsets(full ^ 1 << k) << (1 << k) for k in range(n))
 
 
 def _member_bits(fam: Family) -> int:

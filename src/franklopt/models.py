@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 from .families import Family, MAX_GROUND_SET, frequencies, is_union_closed, twin_counts
@@ -123,30 +124,15 @@ def _x_terms(n: int) -> tuple[tuple[tuple[int, str], ...], tuple[tuple[int, str]
 
 @functools.cache
 def _union_rows(n: int) -> tuple[Constraint, ...]:
+    """One row x_t + x_u - x_{t|u} <= 1 per pair of sets t < u whose union
+    is neither of them (t & ~u: with t < u the union is never t), in the
+    order of (t|u, t, u)."""
     plus, minus = _x_terms(n)
-    rows = []
-    for s in range(1 << n):
-        if s.bit_count() < 2:
-            continue
-        pairs = []
-        t = (s - 1) & s
-        while t:
-            # u ranges over supersets of s \ t within s; skip u == s, dedup t < u
-            rest = s & ~t
-            w = t
-            while True:
-                u = rest | w
-                if u != s and u > t:
-                    pairs.append((t, u))
-                if w == 0:
-                    break
-                w = (w - 1) & t
-            t = (t - 1) & s
-        for t, u in sorted(pairs):
-            rows.append(
-                Constraint(f"u{len(rows) + 1}", (plus[t], plus[u], minus[s]), "<=", 1)
-            )
-    return tuple(rows)
+    triples = sorted((t | u, t, u) for t, u in combinations(range(1 << n), 2) if t & ~u)
+    return tuple(
+        Constraint(f"u{i}", (plus[t], plus[u], minus[s]), "<=", 1)
+        for i, (s, t, u) in enumerate(triples, 1)
+    )
 
 
 @functools.cache

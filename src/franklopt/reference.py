@@ -223,8 +223,8 @@ REFERENCE_TABLES: dict[str, dict] = {
 #   - ft(2,2): published as infeasible, yet the published gt(2,4)=2 entry
 #     exhibits a 4-set family on [2] meeting the same constraints.
 # The comparator downgrades a mismatch on these cells to a warning when
-# it rests on exact evidence (a solver or oracle value, or a re-checked
-# witness family); the stored data stays verbatim.
+# it rests on exact evidence (a solver value or a re-checked witness
+# family); the stored data stays verbatim.
 SUSPECTED_ERRATA = frozenset({("f", 7, 24), ("f", 8, 24), ("f", 9, 24), ("ft", 2, 2)})
 
 

@@ -65,7 +65,15 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
-from .families import Family, degree, is_union_closed, min_nontrivial_twin_count, sort_by_frequency
+from .families import (
+    Family,
+    _subsets,
+    _with_element,
+    degree,
+    is_union_closed,
+    min_nontrivial_twin_count,
+    sort_by_frequency,
+)
 from .models import ModelInstance
 
 
@@ -149,7 +157,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     full = size - 1
     # bitsets over masks: the sets containing each element, the sets of
     # each cardinality, and the pairs and the triples at each element
-    with_elem = [_subsets(full ^ 1 << e) << (1 << e) for e in range(n)]
+    with_elem = _with_element(n)
     of_card = [1]
     for e in range(n):
         of_card = [a | b << (1 << e) for a, b in zip(of_card + [0], [0] + of_card)]
@@ -171,7 +179,6 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     # the tie-break state of each label pair (i, i+1), see `_settle`
     tie = 0
     trail: list[tuple[int, int]] = []  # (blocked, tie) before each decision
-    labels = half - 1  # bit i for each pair (i, i+1) with i+1 < n
     first_out = 0 if maximize else 1  # 1 when the first child excludes
     best: Optional[int] = None
     best_masks: Optional[tuple[int, ...]] = None
@@ -348,14 +355,12 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
         trail.append((blocked, tie))
         undec ^= 1 << mask
         if include:
-            if outbits:
-                blocked = _block(blocked, outbits, mask, full)
+            blocked = _block(blocked, outbits, mask, full)
             for e in elems[mask]:
                 deg[e] += 1
         else:
             outbits |= 1 << mask
-        if mask & ~mask >> 1 & labels & ~tie:  # mask settles a pair
-            tie = _settle(tie, mask, outbits, n, first_out)
+        tie = _settle(tie, mask, outbits, n, first_out)
         depth += 1
 
     stats = SearchStats(nodes, dict(zip(CUTS, cuts[1:])))
@@ -372,16 +377,6 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     if witness is None:
         return SolveOutcome(Status.INFEASIBLE, stats=stats)
     return SolveOutcome(Status.OPTIMAL, best, witness, stats)
-
-
-def _subsets(t: int) -> int:
-    """Bitset over masks of the subsets of t: bit s is set iff s & t == s."""
-    bits = 1
-    while t:
-        low = t & -t
-        bits |= bits << low
-        t ^= low
-    return bits
 
 
 def _most(top: int) -> list[int]:

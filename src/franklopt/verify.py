@@ -1,7 +1,7 @@
 """Value grids, persistence, reference comparison and property checkers.
 
 A ValueTable maps (kind, n, param) to an optimal value or infeasibility,
-with a provenance tag per entry (solver | oracle | reference | trivial).
+with a provenance tag per entry (solver | reference | trivial).
 Computed F cells with a >= 2^(n-1) always read 2^n with provenance
 trivial: the family of all subsets is optimal there, so no search runs.
 Aborted solves never enter a table; they surface as warnings.
@@ -26,6 +26,7 @@ table.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -33,10 +34,10 @@ from typing import Iterable, Optional
 from . import reference
 from .families import Family
 from .models import ModelInstance, ModelKind, check_feasible, objective_value
-from .solver import UNLIMITED, SearchBudget, SolveOutcome, Status, solve
+from .solver import UNLIMITED, SearchBudget, Status, solve
 
 Cell = tuple[str, int, int]  # (kind value, n, param)
-PROVENANCES = ("solver", "oracle", "reference", "trivial")
+PROVENANCES = ("solver", "reference", "trivial")
 
 
 def _ceil_log2(x: int) -> int:
@@ -53,7 +54,7 @@ class TableEntry:
     F cell with a >= 2^(n-1) as trivial, with value 2^n."""
 
     value: Optional[int]  # None marks infeasible
-    provenance: str  # solver | oracle | reference | trivial
+    provenance: str  # solver | reference | trivial
 
     @property
     def infeasible(self) -> bool:
@@ -127,12 +128,6 @@ def append_cache(path, records: dict[Cell, TableEntry]) -> None:
 # -- grid computation --------------------------------------------------------
 
 
-def _solve_cell(args) -> tuple[Cell, SolveOutcome]:
-    kind, n, param, budget = args
-    inst = ModelInstance(ModelKind(kind), n, param)
-    return (kind, n, param), solve(inst, budget)
-
-
 def compute_grid(
     kind: ModelKind,
     ns: Iterable[int],
@@ -146,7 +141,8 @@ def compute_grid(
     F cells in the forced regime a >= 2^(n-1) are filled exactly as 2^n
     with provenance "trivial", whatever the cache holds; other cached
     cells are reused.  Budget-aborted cells are left missing and reported
-    in warnings.
+    in warnings.  Every cell, the trivial ones included, must name a valid
+    instance (ModelInstance raises ValueError otherwise).
 
     With workers > 1 and more than one cell to solve, the cells are
     solved side by side in a pool of that many processes, or one per cell
@@ -158,10 +154,11 @@ def compute_grid(
     table = ValueTable()
     cached = load_cache(cache_path) if cache_path else ValueTable()
     fresh: dict[Cell, TableEntry] = {}
-    todo: list[tuple] = []
+    todo: list[ModelInstance] = []
 
     for n in ns:
         for param in params:
+            inst = ModelInstance(kind, n, param)  # rejects n or param out of range
             cell = (kind.value, n, param)
             if kind is ModelKind.F and param >= 1 << (n - 1):
                 entry = TableEntry(1 << n, "trivial")
@@ -170,19 +167,21 @@ def compute_grid(
             else:
                 entry = cached.entries.get(cell)
             if entry is None:
-                todo.append((kind.value, n, param, budget))
+                todo.append(inst)
             else:
                 table.entries[cell] = entry
 
+    solve_cell = functools.partial(solve, budget=budget)
     if workers > 1 and len(todo) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, len(todo))) as pool:
-            results = pool.map(_solve_cell, todo, chunksize=1)
+            outcomes = pool.map(solve_cell, todo, chunksize=1)
     else:
-        results = [_solve_cell(job) for job in todo]
+        outcomes = map(solve_cell, todo)
 
-    for cell, outcome in results:
+    for inst, outcome in zip(todo, outcomes):
+        cell = (kind.value, inst.n, inst.param)
         if outcome.status is Status.ABORTED:
             table.warnings.append(
                 f"{cell_name(*cell)}: budget exhausted after {outcome.stats.nodes} nodes"
@@ -270,8 +269,8 @@ def compare_to_reference(
 
     An exact table entry must equal the published value.  A mismatch on
     a suspected-erratum cell downgrades to a warning (with both values
-    printed) once the computed value has solver or oracle provenance;
-    everything else mismatching fails.
+    printed) once the computed value has solver provenance; everything
+    else mismatching fails.
 
     ``witnesses`` maps a cell to a family claimed feasible for it.  Each
     family is re-checked exactly (check_feasible, objective_value) and
@@ -295,7 +294,7 @@ def compare_to_reference(
                 report.add(name, PASS)
                 continue
             detail = f"computed={_fmt(entry.value)} reference={_fmt(ref_value)}"
-            if entry.provenance in ("solver", "oracle"):
+            if entry.provenance == "solver":
                 _add_mismatch(report, name, cell, detail)
             else:
                 report.add(name, FAIL, detail)

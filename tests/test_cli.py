@@ -210,6 +210,27 @@ class TestExportLp:
         assert out.read_text() == (GOLDEN / "gt_n4_p9.lp").read_text()
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["solve", "--model", "f", "--n", "3", "--param", "3"], "--witness"),
+            (["export-lp", "--model", "f", "--n", "2", "--param", "2"], "--out"),
+            (["grid", "--model", "f", "--n", "3", "--param", "1..2"], "--cache"),
+        ],
+        ids=["solve-witness", "export-lp-out", "grid-cache"],
+    )
+    def test_missing_directory_exit_2(self, tmp_path, command, flag, capsys):
+        # one error line naming the path, not a traceback and exit 1
+        path = tmp_path / "missing" / "out.txt"
+        assert main(command + [flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
+        assert not path.parent.exists()
+
+
 class TestClosureInspect:
     def test_closure(self, tmp_path, capsys):
         path = tmp_path / "s.fam"

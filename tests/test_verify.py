@@ -86,6 +86,12 @@ class TestComputeGrid:
         assert entry.provenance == "trivial"
         assert table.get("f", 3, 3).provenance == "solver"
 
+    @pytest.mark.parametrize("n", [0, 17])
+    def test_ground_size_out_of_range_rejected(self, n):
+        # trivial cells too: f(17, 2^16) would otherwise read 2^17 unchecked
+        with pytest.raises(ValueError, match="out of range"):
+            compute_grid(ModelKind.F, [n], [1 << 16])
+
     def test_budget_abort_leaves_missing_cell_and_warning(self):
         table = compute_grid(
             ModelKind.F, [5], [12], budget=SearchBudget(max_nodes=1000)
@@ -182,12 +188,13 @@ class TestCache:
             "f 3 3 five solver",
             "f 3 3 5 solver extra",
             "f 3 3 5 whatever",
+            "f 3 3 5 oracle",
         ],
     )
     def test_invalid_record_rejected(self, tmp_path, record):
         # a key no lookup reaches, an instance that does not exist, a
         # value that is neither INF nor a non-negative integer, or an
-        # unknown provenance
+        # unknown provenance (nothing writes oracle)
         path = tmp_path / "cache.txt"
         path.write_text(f"# header\nf 3 2 4 solver\n{record}\n")
         with pytest.raises(ValueError, match="cache.txt:3: malformed"):
