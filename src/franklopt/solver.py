@@ -51,9 +51,11 @@ inclusion is refused), as a leaf, or with both children tried.
 Each solve is one run of that loop in one process, so runs are fully
 deterministic, including the witness and the node count.
 
-``exhaustive_oracle`` answers the same questions for n <= 4 by filtering
-every subset of the power set through the family-core predicates.  It
-shares none of the search machinery and exists to cross-check ``solve``.
+``exhaustive_oracle`` answers the same questions for n <= 4 from a list
+of every union-closed family, built from those on [n-1] by splitting at
+the top element (``_closed_bits``), with the family-core predicates
+judging degree and twin cover.  It shares none of the search machinery
+and exists to cross-check ``solve``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .families import (
     _subsets,
     _with_element,
     degree,
-    is_union_closed,
     min_nontrivial_twin_count,
     sort_by_frequency,
 )
@@ -452,20 +453,45 @@ def solve(
 # -- exhaustive oracle --------------------------------------------------------
 
 
+def _closed_bits(n: int) -> list[int]:
+    """Bitmask of every union-closed family on [n], the empty family
+    included, in increasing order (bit s set when set s is in the family).
+
+    Split a family on [n] by its top element into F0, the sets without
+    it, and F1, the sets with it and it removed.  The family is
+    union-closed exactly when F0 and F1 are and a|b is in F1 for every a
+    in F0 and b in F1; so F0 ranges over the closed families within
+    ``allowed``, the sets a with a|b in F1 for every b in F1.  The
+    family's bitmask is F0 + F1 * 2^(2^(n-1)), so F1 ascending, then F0
+    ascending, is increasing order.
+    """
+    if n == 0:
+        return [0, 1]
+    half = 1 << (n - 1)
+    parts = _closed_bits(n - 1)
+    closed = []
+    for f1 in parts:
+        members = [b for b in range(half) if f1 >> b & 1]
+        allowed = sum(
+            1 << a for a in range(half) if all(f1 >> (a | b) & 1 for b in members)
+        )
+        high = f1 << half
+        closed.extend(f0 | high for f0 in parts if not f0 & ~allowed)
+    return closed
+
+
 @cache
 def _family_catalog(n: int):
     """Every non-empty union-closed family on [n] with its statistics.
 
-    Enumerates all 2^(2^n) subsets of the power set in increasing
-    family-bitmask order and keeps (m, degree, has twin cover, masks) for
-    the union-closed ones, judged purely by the family-core predicates.
+    Lists the union-closed families in increasing family-bitmask order
+    (``_closed_bits``) and keeps (m, degree, has twin cover, masks) for
+    each, the degree and the cover judged by the family-core predicates.
     """
     catalog = []
-    for bits in range(1, 1 << (1 << n)):
+    for bits in _closed_bits(n)[1:]:
         masks = tuple(s for s in range(1 << n) if bits >> s & 1)
         fam = Family(n, masks)
-        if not is_union_closed(fam):
-            continue
         cover = min_nontrivial_twin_count(fam) >= 1
         catalog.append((len(masks), degree(fam), cover, masks))
     return tuple(catalog)

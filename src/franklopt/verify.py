@@ -142,7 +142,8 @@ def compute_grid(
     with provenance "trivial", whatever the cache holds; other cached
     cells are reused.  Budget-aborted cells are left missing and reported
     in warnings.  Every cell, the trivial ones included, must name a valid
-    instance (ModelInstance raises ValueError otherwise).
+    instance (ModelInstance raises ValueError otherwise).  A cache that
+    cannot be opened for append raises OSError before any cell is solved.
 
     With workers > 1 and more than one cell to solve, the cells are
     solved side by side in a pool of that many processes, or one per cell
@@ -155,6 +156,7 @@ def compute_grid(
     cached = load_cache(cache_path) if cache_path else ValueTable()
     fresh: dict[Cell, TableEntry] = {}
     todo: list[ModelInstance] = []
+    params = tuple(params)  # walked once per n
 
     for n in ns:
         for param in params:
@@ -171,6 +173,8 @@ def compute_grid(
             else:
                 table.entries[cell] = entry
 
+    if cache_path and todo:
+        open(cache_path, "a", encoding="utf-8").close()
     solve_cell = functools.partial(solve, budget=budget)
     if workers > 1 and len(todo) > 1:
         import multiprocessing

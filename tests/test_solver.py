@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from franklopt import reference
-from franklopt.families import family_from_masks, frequencies, is_union_closed
+from franklopt.families import (
+    Family,
+    degree,
+    family_from_masks,
+    frequencies,
+    is_union_closed,
+    min_nontrivial_twin_count,
+)
 from franklopt.models import (
     ModelInstance,
     ModelKind,
@@ -20,6 +27,7 @@ from franklopt.solver import (
     SearchBudget,
     Status,
     _block,
+    _family_catalog,
     _most,
     _settle,
     exhaustive_oracle,
@@ -303,7 +311,28 @@ class TestWitnessSoundness:
         assert freqs[0] == out.value
 
 
+def brute_force_catalog(n):
+    """The oracle's catalog by its definition: every non-empty subset of
+    the power set, in increasing family-bitmask order, kept when it is
+    union-closed, with (m, degree, has twin cover, masks)."""
+    catalog = []
+    for bits in range(1, 1 << (1 << n)):
+        masks = tuple(s for s in range(1 << n) if bits >> s & 1)
+        fam = Family(n, masks)
+        if is_union_closed(fam):
+            cover = min_nontrivial_twin_count(fam) >= 1
+            catalog.append((len(masks), degree(fam), cover, masks))
+    return tuple(catalog)
+
+
 class TestOracle:
+    @pytest.mark.parametrize("n,count", [(1, 3), (2, 13), (3, 121), (4, 4959)])
+    def test_catalog_matches_brute_force(self, n, count):
+        # entry for entry, so the oracle's first-best witnesses are unchanged
+        catalog = _family_catalog(n)
+        assert len(catalog) == count
+        assert catalog == brute_force_catalog(n)
+
     @pytest.mark.parametrize(
         "kind,n,param,value",
         [

@@ -139,6 +139,23 @@ class TestComputeGrid:
         assert chunks == [1]  # one cell per task: cell times differ widely
         assert table.entries == compute_grid(ModelKind.F, [4], range(1, 6)).entries
 
+    def test_params_iterator_covers_every_n(self):
+        # params is read once, not once per n
+        listed = compute_grid(ModelKind.F, [2, 3], [1, 2])
+        iterated = compute_grid(ModelKind.F, [2, 3], iter([1, 2]))
+        assert len(listed.entries) == 4
+        assert iterated.entries == listed.entries
+
+    def test_unwritable_cache_fails_before_any_solve(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("solve called before the cache was opened")
+
+        monkeypatch.setattr("franklopt.verify.solve", fail)
+        path = tmp_path / "missing" / "c.txt"
+        with pytest.raises(OSError):
+            compute_grid(ModelKind.F, [3], [1, 2], cache_path=path)
+        assert not path.parent.exists()
+
     def test_single_cell_budget_abort(self):
         table = compute_grid(
             ModelKind.F, [5], [12], budget=SearchBudget(max_nodes=1000), workers=2
