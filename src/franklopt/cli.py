@@ -31,7 +31,7 @@ from .families import (
     write_family,
 )
 from .lp import export, write_lp
-from .models import ModelInstance, ModelKind, build
+from .models import MAX_LP_GROUND_SET, ModelInstance, ModelKind, build
 from .solver import SearchBudget, Status, solve
 from . import verify as verify_mod
 
@@ -52,6 +52,13 @@ def _ground_size(text: str) -> int:
     n = int(text)
     if not 1 <= n <= MAX_GROUND_SET:
         raise argparse.ArgumentTypeError(f"n={n} out of range 1..{MAX_GROUND_SET}")
+    return n
+
+
+def _lp_ground_size(text: str) -> int:
+    n = _ground_size(text)
+    if n > MAX_LP_GROUND_SET:
+        raise argparse.ArgumentTypeError(f"n={n} too large to build; at most {MAX_LP_GROUND_SET}")
     return n
 
 
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-lp", help="write one instance in LP text format")
     p.add_argument("--model", required=True, choices=MODELS)
-    p.add_argument("--n", type=_ground_size, required=True)
+    p.add_argument("--n", type=_lp_ground_size, required=True)
     p.add_argument("--param", type=_positive, required=True)
     p.add_argument("--out", required=True, metavar="PATH", help="target path or - for stdout")
     p.set_defaults(func=cmd_export_lp)

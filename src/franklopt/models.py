@@ -18,6 +18,8 @@ kind or parameter, down to one string object per variable name.
 Sharing is safe because every row is a Constraint, a named tuple whose
 terms are tuples, so no system can change a row another one holds.  Only
 the deg, ord and card rows and the objective are made per build.
+The union rows number about 4x more per element (465,761 at n=10, with
+a peak near 200 MB), so ``build`` refuses n > MAX_LP_GROUND_SET.
 
 Variable naming: ``x_<d>`` is the 0/1 indicator of the subset whose bit
 pattern has decimal value d; ``z_<d>_e<k>`` is the twin link variable for
@@ -35,6 +37,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .families import Family, MAX_GROUND_SET, frequencies, is_union_closed, twin_counts
+
+MAX_LP_GROUND_SET = 10
 
 
 class ModelKind(enum.Enum):
@@ -166,9 +170,12 @@ def build(inst: ModelInstance) -> ConstraintSystem:
     """Emit the complete, duplicate-free constraint system for an instance.
 
     The union and twin blocks come from the per-n caches; only the deg,
-    ord and card rows and the objective are made per call.
+    ord and card rows and the objective are made per call.  Raises
+    ValueError for n > MAX_LP_GROUND_SET, before any row is built.
     """
     n = inst.n
+    if n > MAX_LP_GROUND_SET:
+        raise ValueError(f"n={n} too large to build; at most {MAX_LP_GROUND_SET}")
     kind = inst.kind
     all_masks = range(1 << n)
     plus, minus = _x_terms(n)

@@ -40,13 +40,15 @@ cap.  Pruning:
 
 The search is one non-recursive loop over a depth counter, for all four
 kinds: the objective sets the degree cap, the set count a branch must
-still reach, the leaf, the root bound at which the search stops early,
-and the child order (include first when maximizing, exclude first when
-minimizing).  Every node closes in one step that counts why: by a cut,
-``count`` (G/GT: fewer available sets than the set count still needs),
-``scan`` (the per-element scan), ``bound`` (the capacity bound), ``cover``
-(a G/GT leaf with no twin cover) or ``refused`` (the last child's
-inclusion is refused), as a leaf, or with both children tried.
+still reach, the leaf, and the child order (include first when
+maximizing, exclude first when minimizing).  Every node closes in one
+step that counts why: by a cut, ``count`` (G/GT: fewer available sets
+than the set count still needs), ``scan`` (the per-element scan),
+``bound`` (the capacity bound), ``cover`` (a G/GT leaf with no twin
+cover) or ``refused`` (the last child's inclusion is refused), as a
+leaf, or with both children tried.  The search ends only when the root
+closes through that step or the budget aborts it, so a solve that is
+not aborted has closed every node of its tree exactly once.
 
 Each solve is one run of that loop in one process, so runs are fully
 deterministic, including the witness and the node count.
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 import enum
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
@@ -144,15 +145,10 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     deadline = started + (budget.max_seconds or float("inf"))
     n = inst.n
     size = 1 << n
-    half = size >> 1
     param = inst.param
     maximize = inst.kind.maximize
     twin = inst.kind.twin
     order = sorted(range(size), key=lambda s: (-s.bit_count(), -s))
-    # tail[k]: total cardinality of the k cheapest (last) sets, for `target`
-    tail = [0] * (size + 1)
-    for k in range(1, size + 1):
-        tail[k] = tail[k - 1] + order[size - k].bit_count()
     order.append(0)  # past the last decision no set is undecided
     elems = [tuple(e for e in range(n) if mask >> e & 1) for mask in range(size)]
     full = size - 1
@@ -190,20 +186,13 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     littles = [_subsets(full ^ 1 << e) ^ 1 << (full ^ 1 << e) for e in range(n)] if twin else []
 
     # What the objective decides: the degree cap `cap`, the set count
-    # `goal` a branch must still be able to reach, the leaf, and the root
-    # bound `target` whose attainment ends the search.
+    # `goal` a branch must still be able to reach, and the leaf.
     if maximize:
         cap = param
         goal = 1  # incumbent + 1, with no incumbent counted as 0
-        target = min(bisect_right(tail, n * min(param, half)) - 1, size)
     else:
-        cap = half  # incumbent - 1 once there is one
+        cap = size >> 1  # incumbent - 1 once there is one
         goal = param
-        target = next(
-            (v for v in range(half)
-             if v + half >= param and bisect_right(tail, n * v) - 1 >= param),
-            half,
-        )
 
     monotonic = time.monotonic
     # `closed`: 0 while the node at `depth` is open, then why it closed;
@@ -315,8 +304,6 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                     best = max(deg)
                     cap = best - 1
                 best_masks = tuple(m for m in range(size) if inc >> m & 1)
-                if best == target:
-                    break
                 closed = leaf
                 continue
             mask = order[depth]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from franklopt import cli
 from franklopt.cli import main
 from franklopt.families import family_from_text, is_union_closed, read_family
 
@@ -208,6 +209,23 @@ class TestExportLp:
         out = tmp_path / "m.lp"
         main(["export-lp", "--model", "gt", "--n", "4", "--param", "9", "--out", str(out)])
         assert out.read_text() == (GOLDEN / "gt_n4_p9.lp").read_text()
+
+
+    def test_large_n_usage_error_builds_nothing(self, tmp_path, monkeypatch, capsys):
+        def no_build(inst):
+            raise AssertionError(f"built {inst}")
+
+        monkeypatch.setattr(cli, "build", no_build)
+        out = tmp_path / "m.lp"
+        argv = ["export-lp", "--model", "f", "--n", "11", "--param", "3", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "n=11 too large to build; at most 10" in errors[0]
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

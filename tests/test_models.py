@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from franklopt import models
 from franklopt.families import (
     MAX_GROUND_SET,
     clone_element,
@@ -17,6 +18,7 @@ from franklopt.families import (
 from franklopt.models import (
     ModelInstance,
     ModelKind,
+    MAX_LP_GROUND_SET,
     build,
     check_feasible,
     objective_value,
@@ -82,6 +84,17 @@ class TestBuild:
             system = build(ModelInstance(ModelKind.F, n, 2))
             assert len(by_prefix(system, "u")) == count_union_pairs(n)
         assert len(by_prefix(build(ModelInstance(ModelKind.F, 3, 1)), "u")) == 9
+
+    def test_refuses_large_n_before_building(self, monkeypatch):
+        # n=10 already takes 465,761 union rows; n=11 would take four times that
+        def no_rows(n):
+            raise AssertionError(f"union rows built for n={n}")
+
+        monkeypatch.setattr(models, "_union_rows", no_rows)
+        assert MAX_LP_GROUND_SET == 10
+        for kind in ModelKind:
+            with pytest.raises(ValueError, match="n=11 too large to build; at most 10"):
+                build(ModelInstance(kind, 11, 3))
 
     def test_g_rows(self):
         system = build(ModelInstance(ModelKind.G, 3, 5))

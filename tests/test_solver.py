@@ -185,6 +185,16 @@ class TestCutReasons:
         assert stats.nodes == nodes
         assert stats.cuts == {reason: cuts.get(reason, 0) for reason in CUTS}
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_finished_solve_closes_whole_tree(self, n):
+        # the first path includes every set and reaches the power set; on
+        # the way back up each exclusion is one more node, closed by a cut,
+        # as no finished solve stops before its root closes
+        out = solve(inst("f", n, 1 << (n - 1)))
+        assert out.status is Status.OPTIMAL
+        assert out.witness == family_from_masks(n, range(1 << n))
+        assert out.stats.nodes == (1 << (n + 1)) + 1
+
     def test_every_reason_fires_on_some_golden_cell(self):
         fired = dict.fromkeys(CUTS, 0)
         for cell in pinned_cells():
