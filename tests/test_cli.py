@@ -210,7 +210,6 @@ class TestExportLp:
         main(["export-lp", "--model", "gt", "--n", "4", "--param", "9", "--out", str(out)])
         assert out.read_text() == (GOLDEN / "gt_n4_p9.lp").read_text()
 
-
     def test_large_n_usage_error_builds_nothing(self, tmp_path, monkeypatch, capsys):
         def no_build(inst):
             raise AssertionError(f"built {inst}")

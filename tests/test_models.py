@@ -16,9 +16,9 @@ from franklopt.families import (
     read_family,
 )
 from franklopt.models import (
+    MAX_LP_GROUND_SET,
     ModelInstance,
     ModelKind,
-    MAX_LP_GROUND_SET,
     build,
     check_feasible,
     objective_value,
