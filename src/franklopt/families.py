@@ -144,10 +144,13 @@ def _member_bits(fam: Family) -> int:
     return bits
 
 
+def _frequencies(bits: int, n: int) -> tuple[int, ...]:
+    return tuple((bits & holding).bit_count() for holding in _with_element(n))
+
+
 def frequencies(fam: Family) -> tuple[int, ...]:
     """Per-element membership counts: counts[e-1] = |{S in F : e in S}|."""
-    bits = _member_bits(fam)
-    return tuple((bits & holding).bit_count() for holding in _with_element(fam.n))
+    return _frequencies(_member_bits(fam), fam.n)
 
 
 def degree(fam: Family) -> int:
@@ -157,6 +160,18 @@ def degree(fam: Family) -> int:
     return max(frequencies(fam))
 
 
+def _twin_counts(bits: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    full = (1 << n) - 1
+    nontrivial = []
+    total = []
+    for k, holding in enumerate(_with_element(n)):
+        bigs = bits & holding & bits << (1 << k)
+        count = bigs.bit_count()
+        total.append(count)
+        nontrivial.append(count - (bigs >> full & 1))
+    return tuple(nontrivial), tuple(total)
+
+
 def twin_counts(fam: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-element twin-pair counts as (non-trivial, total) tuples.
 
@@ -164,16 +179,7 @@ def twin_counts(fam: Family) -> tuple[tuple[int, ...], tuple[int, ...]]:
     less the element is a member too; the pair is trivial when its big
     twin is the full set.
     """
-    bits = _member_bits(fam)
-    full = fam.full_mask
-    nontrivial = []
-    total = []
-    for k, holding in enumerate(_with_element(fam.n)):
-        bigs = bits & holding & bits << (1 << k)
-        count = bigs.bit_count()
-        total.append(count)
-        nontrivial.append(count - (bigs >> full & 1))
-    return tuple(nontrivial), tuple(total)
+    return _twin_counts(_member_bits(fam), fam.n)
 
 
 def min_nontrivial_twin_count(fam: Family) -> int:

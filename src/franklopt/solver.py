@@ -53,11 +53,11 @@ not aborted has closed every node of its tree exactly once.
 Each solve is one run of that loop in one process, so runs are fully
 deterministic, including the witness and the node count.
 
-``exhaustive_oracle`` answers the same questions for n <= 4 from a list
-of every union-closed family, built from those on [n-1] by splitting at
-the top element (``_closed_bits``), with the family-core predicates
-judging degree and twin cover.  It shares none of the search machinery
-and exists to cross-check ``solve``.
+``exhaustive_oracle`` answers the same questions for n <= 4 from the
+bitmask of every union-closed family, built from those on [n-1] by
+splitting at the top element (``_closed_bits``) and judged by the
+family-core predicates; only the answer becomes a Family.  It shares
+none of the search machinery and exists to cross-check ``solve``.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ from typing import Optional
 
 from .families import (
     Family,
+    _frequencies,
     _subsets,
+    _twin_counts,
     _with_element,
-    degree,
-    min_nontrivial_twin_count,
     sort_by_frequency,
 )
 from .models import ModelInstance
@@ -177,8 +177,7 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
     tie = 0
     trail: list[tuple[int, int]] = []  # (blocked, tie) before each decision
     first_out = 0 if maximize else 1  # 1 when the first child excludes
-    best: Optional[int] = None
-    best_masks: Optional[tuple[int, ...]] = None
+    best_inc: Optional[int] = None  # the incumbent's sets, as a bitset
     aborted = False
 
     # littles[e]: the little twins S of e's non-trivial twin pairs
@@ -294,16 +293,14 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 continue
             if depth == size if maximize else need == 0:
                 if maximize:
-                    best = inc.bit_count()
-                    goal = best + 1
+                    goal = inc.bit_count() + 1
                 else:
                     # every element needs a pair with both twins in
                     if twin and not all(s & inc & inc >> (1 << e) for e, s in enumerate(littles)):
                         closed = cover
                         continue
-                    best = max(deg)
-                    cap = best - 1
-                best_masks = tuple(m for m in range(size) if inc >> m & 1)
+                    cap = max(deg) - 1
+                best_inc = inc
                 closed = leaf
                 continue
             mask = order[depth]
@@ -352,19 +349,22 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
         depth += 1
 
     stats = SearchStats(nodes, dict(zip(CUTS, cuts[1:])))
-    witness = None
-    if best_masks is not None:
-        witness = Family(n, best_masks)
-        if not maximize:
-            witness = sort_by_frequency(witness)
+    if best_inc is None:
+        return SolveOutcome(Status.ABORTED if aborted else Status.INFEASIBLE, stats=stats)
+    best = goal - 1 if maximize else cap + 1  # the last leaf set goal or cap
+    witness = _witness(best_inc, n, maximize)
     # an aborted search reports its best family only as an incumbent
     if aborted:
         return SolveOutcome(
             Status.ABORTED, stats=stats, incumbent_value=best, incumbent_witness=witness
         )
-    if witness is None:
-        return SolveOutcome(Status.INFEASIBLE, stats=stats)
     return SolveOutcome(Status.OPTIMAL, best, witness, stats)
+
+
+def _witness(bits: int, n: int, maximize: bool) -> Family:
+    """The family with member bitset ``bits``, sorted by frequency when minimizing."""
+    fam = Family(n, tuple(s for s in range(1 << n) if bits >> s & 1))
+    return fam if maximize else sort_by_frequency(fam)
 
 
 def _most(top: int) -> list[int]:
@@ -469,44 +469,35 @@ def _closed_bits(n: int) -> list[int]:
 
 @cache
 def _family_catalog(n: int):
-    """Every non-empty union-closed family on [n] with its statistics.
-
-    Lists the union-closed families in increasing family-bitmask order
-    (``_closed_bits``) and keeps (m, degree, has twin cover, masks) for
-    each, the degree and the cover judged by the family-core predicates.
-    """
-    catalog = []
-    for bits in _closed_bits(n)[1:]:
-        masks = tuple(s for s in range(1 << n) if bits >> s & 1)
-        fam = Family(n, masks)
-        cover = min_nontrivial_twin_count(fam) >= 1
-        catalog.append((len(masks), degree(fam), cover, masks))
-    return tuple(catalog)
+    """(m, degree, has twin cover, bits) for every non-empty union-closed
+    family on [n], in increasing bitmask order (``_closed_bits``), judged
+    on its bitmask by the family-core predicates."""
+    return tuple(
+        (bits.bit_count(), max(_frequencies(bits, n)), min(_twin_counts(bits, n)[0]) >= 1, bits)
+        for bits in _closed_bits(n)[1:]
+    )
 
 
 def exhaustive_oracle(inst: ModelInstance) -> SolveOutcome:
     """Reference optimum by complete enumeration; only for n <= 4."""
-    if inst.n > 4:
-        raise ValueError(f"exhaustive oracle supports n <= 4, got n={inst.n}")
-    catalog = _family_catalog(inst.n)
-    kind, param = inst.kind, inst.param
-    need_cover = kind.twin
-    best = None
-    best_masks = None
-    if kind.maximize:
-        for m, deg, cover, masks in catalog:
-            if deg <= param and (cover or not need_cover):
-                if best is None or m > best:
-                    best, best_masks = m, masks
-    else:
-        for m, deg, cover, masks in catalog:
-            if m == param and (cover or not need_cover):
-                if best is None or deg < best:
-                    best, best_masks = deg, masks
+    n, param, maximize, need_cover = inst.n, inst.param, inst.kind.maximize, inst.kind.twin
+    if n > 4:
+        raise ValueError(f"exhaustive oracle supports n <= 4, got n={n}")
+    catalog = _family_catalog(n)
+    # As in the search, the objective sets the degree cap and the set
+    # counts that beat the best so far, so an entry that passes is the
+    # new best and the first best one in catalog order wins.
+    cap, goal, most = (param, 1, 1 << n) if maximize else (1 << n, param, param)
+    best_bits = None
+    for m, deg, cover, bits in catalog:
+        if goal <= m and m <= most and deg <= cap and (cover or not need_cover):
+            best_bits = bits
+            if maximize:
+                goal = m + 1
+            else:
+                cap = deg - 1
     stats = SearchStats(nodes=len(catalog))
-    if best is None:
+    if best_bits is None:
         return SolveOutcome(Status.INFEASIBLE, stats=stats)
-    witness = Family(inst.n, best_masks)
-    if not kind.maximize:
-        witness = sort_by_frequency(witness)
-    return SolveOutcome(Status.OPTIMAL, best, witness, stats)
+    value = goal - 1 if maximize else cap + 1
+    return SolveOutcome(Status.OPTIMAL, value, _witness(best_bits, n, maximize), stats)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import threading
@@ -324,15 +325,20 @@ class TestWitnessSoundness:
 def brute_force_catalog(n):
     """The oracle's catalog by its definition: every non-empty subset of
     the power set, in increasing family-bitmask order, kept when it is
-    union-closed, with (m, degree, has twin cover, masks)."""
+    union-closed, with (m, degree, has twin cover, family bitmask)."""
     catalog = []
     for bits in range(1, 1 << (1 << n)):
         masks = tuple(s for s in range(1 << n) if bits >> s & 1)
         fam = Family(n, masks)
         if is_union_closed(fam):
             cover = min_nontrivial_twin_count(fam) >= 1
-            catalog.append((len(masks), degree(fam), cover, masks))
+            catalog.append((len(masks), degree(fam), cover, bits))
     return tuple(catalog)
+
+
+# sha256 over the status, value, witness sets and node count of every
+# oracle answer for the four kinds, n = 1..4 and param = 1..2^n + 2
+ORACLE_DIGEST = "24a70543e54821e4cd615555912fd87396920e39b10b495ef30480ff390dcaf3"
 
 
 class TestOracle:
@@ -342,6 +348,24 @@ class TestOracle:
         catalog = _family_catalog(n)
         assert len(catalog) == count
         assert catalog == brute_force_catalog(n)
+
+    def test_every_answer_pinned(self):
+        # pins the first best witness in catalog order, which no value
+        # check sees
+        queries = [
+            ModelInstance(kind, n, param)
+            for kind in ModelKind
+            for n in range(1, 5)
+            for param in range(1, (1 << n) + 3)
+        ]
+        assert len(queries) == 152
+        digest = hashlib.sha256()
+        for q in queries:
+            out = exhaustive_oracle(q)
+            sets = out.witness.sets if out.witness else None
+            fields = (q.kind.value, q.n, q.param, out.status.value, out.value, sets, out.stats.nodes)
+            digest.update((" ".join(map(str, fields)) + "\n").encode())
+        assert digest.hexdigest() == ORACLE_DIGEST
 
     @pytest.mark.parametrize(
         "kind,n,param,value",
