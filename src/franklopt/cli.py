@@ -171,7 +171,7 @@ def _render_grid(table, kind, ns, params, fmt) -> str:
         entry = table.get(kind.value, n, p)
         if entry is None:
             return ""
-        return "-" if entry.infeasible else str(entry.value)
+        return "-" if entry.value is None else str(entry.value)
 
     rows = [[str(p)] + [cell(n, p) for n in ns] for p in params]
     if fmt == "markdown":

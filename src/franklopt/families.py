@@ -155,8 +155,6 @@ def frequencies(fam: Family) -> tuple[int, ...]:
 
 def degree(fam: Family) -> int:
     """Maximum per-element membership count; 0 for empty or {empty set}."""
-    if not fam.sets:
-        return 0
     return max(frequencies(fam))
 
 

@@ -250,6 +250,4 @@ def objective_value(inst: ModelInstance, fam: Family) -> int:
         raise ValueError(f"family over [{fam.n}] evaluated against n={inst.n} instance")
     if inst.kind.maximize:
         return fam.m
-    if not fam.sets:
-        return 0
     return frequencies(fam)[0]

@@ -56,8 +56,8 @@ deterministic, including the witness and the node count.
 ``exhaustive_oracle`` answers the same questions for n <= 4 from the
 bitmask of every union-closed family, built from those on [n-1] by
 splitting at the top element (``_closed_bits``) and judged by the
-family-core predicates; only the answer becomes a Family.  It shares
-none of the search machinery and exists to cross-check ``solve``.
+family-core predicates.  It shares only the outcome rule (``_outcome``)
+with the search and exists to cross-check ``solve``.
 """
 
 from __future__ import annotations
@@ -207,13 +207,11 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 break
             avail = undec & ~blocked
             # elements at the cap take their sets out (`in` suffices: a
-            # degree past the cap fails the scan anyway); `capped` holds them
-            capped = 0
+            # degree past the cap fails the scan anyway)
             if cap in deg:
                 for i in range(n):
                     if deg[i] >= cap:
                         avail &= ~with_elem[i]
-                        capped |= 1 << i
             n_avail = avail.bit_count()
             inc = every ^ undec ^ outbits
             need = goal - inc.bit_count()
@@ -295,8 +293,8 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 if maximize:
                     goal = inc.bit_count() + 1
                 else:
-                    # every element needs a pair with both twins in
-                    if twin and not all(s & inc & inc >> (1 << e) for e, s in enumerate(littles)):
+                    # every element needs a non-trivial twin pair in
+                    if twin and not min(_twin_counts(inc, n)[0]):
                         closed = cover
                         continue
                     cap = max(deg) - 1
@@ -304,7 +302,11 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 closed = leaf
                 continue
             mask = order[depth]
-            include = maximize
+            # decision order makes every union of mask with an included set
+            # already decided, so closure holds unless mask is blocked;
+            # `avail` drops that and the cap, and a refused inclusion
+            # leaves the exclusion
+            include = maximize and avail >> mask & 1
         else:
             cuts[closed] += 1
             if depth == 0:
@@ -324,19 +326,11 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
                 closed = done
                 continue
             closed = 0
-            if include:  # deg is back to the node's, but cap may have dropped
-                capped = 0
-                for i in range(n):
-                    if deg[i] >= cap:
-                        capped |= 1 << i
-        if include:
-            # decision order makes every union of mask with an included set
-            # already decided, so closure holds unless mask is blocked
-            if blocked >> mask & 1 or mask & capped:
-                if not maximize:  # the include is the last child to try
-                    closed = refused
-                    continue
-                include = False  # a refused inclusion leaves the exclusion
+            # the minimizing include, the last child to try: deg is back to
+            # the node's, but cap may have dropped since the node opened
+            if include and (blocked >> mask & 1 or any(deg[e] >= cap for e in elems[mask])):
+                closed = refused
+                continue
         trail.append((blocked, tie))
         undec ^= 1 << mask
         if include:
@@ -349,22 +343,28 @@ def _search(inst: ModelInstance, budget: SearchBudget) -> SolveOutcome:
         depth += 1
 
     stats = SearchStats(nodes, dict(zip(CUTS, cuts[1:])))
-    if best_inc is None:
+    return _outcome(best_inc, goal, cap, n, maximize, stats, aborted)
+
+
+def _outcome(
+    bits: Optional[int], goal: int, cap: int, n: int, maximize: bool, stats: SearchStats,
+    aborted: bool = False,
+) -> SolveOutcome:
+    """The outcome of an engine whose best family, if it found one, has
+    member bitset ``bits``.  That family set the goal (maximizing) or the
+    cap last, so its value is goal - 1 or cap + 1; a minimizing witness is
+    sorted by frequency.  An aborted run reports it only as an incumbent."""
+    if bits is None:
         return SolveOutcome(Status.ABORTED if aborted else Status.INFEASIBLE, stats=stats)
-    best = goal - 1 if maximize else cap + 1  # the last leaf set goal or cap
-    witness = _witness(best_inc, n, maximize)
-    # an aborted search reports its best family only as an incumbent
+    value = goal - 1 if maximize else cap + 1
+    witness = Family(n, tuple(s for s in range(1 << n) if bits >> s & 1))
+    if not maximize:
+        witness = sort_by_frequency(witness)
     if aborted:
         return SolveOutcome(
-            Status.ABORTED, stats=stats, incumbent_value=best, incumbent_witness=witness
+            Status.ABORTED, stats=stats, incumbent_value=value, incumbent_witness=witness
         )
-    return SolveOutcome(Status.OPTIMAL, best, witness, stats)
-
-
-def _witness(bits: int, n: int, maximize: bool) -> Family:
-    """The family with member bitset ``bits``, sorted by frequency when minimizing."""
-    fam = Family(n, tuple(s for s in range(1 << n) if bits >> s & 1))
-    return fam if maximize else sort_by_frequency(fam)
+    return SolveOutcome(Status.OPTIMAL, value, witness, stats)
 
 
 def _most(top: int) -> list[int]:
@@ -496,8 +496,4 @@ def exhaustive_oracle(inst: ModelInstance) -> SolveOutcome:
                 goal = m + 1
             else:
                 cap = deg - 1
-    stats = SearchStats(nodes=len(catalog))
-    if best_bits is None:
-        return SolveOutcome(Status.INFEASIBLE, stats=stats)
-    value = goal - 1 if maximize else cap + 1
-    return SolveOutcome(Status.OPTIMAL, value, _witness(best_bits, n, maximize), stats)
+    return _outcome(best_bits, goal, cap, n, maximize, SearchStats(nodes=len(catalog)))

@@ -56,10 +56,6 @@ class TableEntry:
     value: Optional[int]  # None marks infeasible
     provenance: str  # solver | reference | trivial
 
-    @property
-    def infeasible(self) -> bool:
-        return self.value is None
-
 
 @dataclass
 class ValueTable:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import threading
 import time
@@ -439,6 +440,23 @@ class TestBudget:
         assert 0 < aborted.propagations == sum(aborted.cuts.values()) < aborted.nodes
         assert all(aborted.cuts[reason] <= full.cuts[reason] for reason in CUTS)
 
+    @pytest.mark.parametrize("kind, param, incumbent", [("g", 40, 24), ("gt", 30, 17)])
+    def test_aborted_minimizing_reports_incumbent_not_value(self, kind, param, incumbent):
+        problem = inst(kind, 6, param)
+        out = solve(problem, SearchBudget(max_nodes=3000))
+        assert out.status is Status.ABORTED
+        assert out.value is None and out.witness is None
+        assert out.incumbent_value == incumbent
+        # check_feasible includes the frequency order, so the witness is sorted
+        assert check_feasible(problem, out.incumbent_witness).feasible
+        assert objective_value(problem, out.incumbent_witness) == incumbent
+
+    def test_aborted_before_any_leaf_has_no_incumbent(self):
+        out = solve(inst("g", 6, 40), SearchBudget(max_nodes=1))
+        assert out.status is Status.ABORTED
+        assert out.value is None and out.witness is None
+        assert out.incumbent_value is None and out.incumbent_witness is None
+
     def test_infeasible_detected_before_budget(self):
         out = solve(inst("g", 4, 17), SearchBudget(max_nodes=10))
         assert out.status is Status.INFEASIBLE
@@ -468,6 +486,13 @@ class TestBudget:
         assert out.status is Status.ABORTED
         assert check_feasible(problem, out.incumbent_witness).feasible
         assert objective_value(problem, out.incumbent_witness) == out.incumbent_value
+
+
+def test_readme_library_example():
+    """The README's library example runs as written (it asserts g(5,24) = 14)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+    exec(block.group(1), {})
 
 
 def count_totals(old_lines, new_lines):

@@ -184,7 +184,7 @@ class TestCache:
         path = tmp_path / "cache.txt"
         compute_grid(ModelKind.G, [2], [5], cache_path=path)
         assert "g 2 5 INF solver" in path.read_text()
-        assert load_cache(path).get("g", 2, 5).infeasible
+        assert load_cache(path).get("g", 2, 5).value is None
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "cache.txt"
